@@ -48,10 +48,16 @@ from .meanfield import (
 from .phase import critical_line, default_grid, depth_scale_grid
 from .quadrature import DEFAULT_ORDER, make_rule
 from .simulator import (
+    ROLE_MASK_A,
+    ROLE_MASK_B,
     NetworkConfig,
-    _instance_metrics_many,
+    backward,
     default_q0,
     ensemble_run_many,
+    forward,
+    gradient_metrics,
+    sample_inputs,
+    sample_network,
 )
 from .universality import universality_report
 
@@ -132,23 +138,38 @@ def _resolve(defaults: dict, file_cfg: dict, args: argparse.Namespace) -> dict:
         val = getattr(args, key, None)
         if val is not None and key in defaults:
             cfg[key] = val
-    if getattr(args, "no_header_timestamp", False):
+    if args.no_header_timestamp and "header_timestamp" in cfg:
         cfg["header_timestamp"] = False
-    if cfg.get("threads") is None:
-        cfg["threads"] = int(os.environ.get("MFDL_THREADS", "1"))
+    if "threads" in cfg and cfg["threads"] is None:
+        cfg["threads"] = _get(os.environ, "MFDL_THREADS", int) if "MFDL_THREADS" in os.environ else 1
     return cfg
+
+
+def _get(cfg: dict, key: str, kind=float):
+    """cfg[key] converted by `kind`; a malformed value is a config error."""
+    try:
+        return kind(cfg[key])
+    except (TypeError, ValueError, KeyError):
+        raise ConfigError(f"malformed value for {key!r}: {cfg[key]!r}") from None
 
 
 def _params(cfg: dict) -> MeanFieldParams:
     return MeanFieldParams(
-        sigma_w_sq=float(cfg["sigma_w_sq"]),
-        sigma_b_sq=float(cfg["sigma_b_sq"]),
-        rho=float(cfg.get("rho", 1.0)),
+        sigma_w_sq=_get(cfg, "sigma_w_sq"),
+        sigma_b_sq=_get(cfg, "sigma_b_sq"),
+        rho=_get(cfg, "rho") if "rho" in cfg else 1.0,
     )
 
 
 def _progress(msg: str):
     print(msg, file=sys.stderr, flush=True)
+
+
+# Shared config blocks: ensemble recipes draw seeded instances on `threads`
+# workers (null: MFDL_THREADS, else 1), file recipes write CSVs under `out`.
+_QUADRATURE = {"quad_order": DEFAULT_ORDER}
+_ENSEMBLE = {"seed": 0, "threads": None}
+_OUTPUT = {"out": ".", "header_timestamp": True}
 
 
 # ---------------------------------------------------------------------------
@@ -167,24 +188,21 @@ _LENGTHMAP_DEFAULTS = {
     "simulate": True,
     "width": 1000,
     "instances": 100,
-    "seed": 0,
-    "threads": None,
-    "quad_order": DEFAULT_ORDER,
-    "out": ".",
-    "header_timestamp": True,
+    **_ENSEMBLE,
+    **_QUADRATURE,
+    **_OUTPUT,
 }
 
 
-def cmd_lengthmap(args) -> dict:
-    cfg = _resolve(_LENGTHMAP_DEFAULTS, _load_config(args.config), args)
+def cmd_lengthmap(cfg: dict) -> dict:
     act = Activation.parse(cfg["activation"])
-    rule = make_rule(int(cfg["quad_order"]))
+    rule = make_rule(_get(cfg, "quad_order", int))
     quantity = cfg["quantity"]
     if quantity not in ("q", "c"):
         raise ConfigError(f"quantity must be 'q' or 'c', got {quantity!r}")
-    layers = int(cfg["layers"])
-    q0, c0 = float(cfg["q0"]), float(cfg["c0"])
-    rhos = [float(r) for r in cfg["rhos"]]
+    layers = _get(cfg, "layers", int)
+    q0, c0 = _get(cfg, "q0"), _get(cfg, "c0")
+    rhos = _get(cfg, "rhos", lambda v: [float(r) for r in v])
     if not rhos:
         raise ConfigError("rhos must be a nonempty list")
 
@@ -199,21 +217,21 @@ def cmd_lengthmap(args) -> dict:
     sims = {rho: (None, None) for rho in rhos}
     if cfg["simulate"]:
         metric = "q_aa" if quantity == "q" else "c_ab"
-        n_inst = int(cfg["instances"])
+        n_inst = _get(cfg, "instances", int)
         net_cfgs = [
             NetworkConfig(
                 depth_L=layers,
-                width_N=int(cfg["width"]),
+                width_N=_get(cfg, "width", int),
                 params=replace(_params(cfg), rho=rho),
                 activation=act,
-                seed=int(cfg["seed"]),
+                seed=_get(cfg, "seed", int),
             )
             for rho in rhos
         ]
         _progress(f"lengthmap: simulating {len(rhos)} dropout rates x {n_inst} instances")
         stats = ensemble_run_many(
             net_cfgs, n_inst, c0=c0, metrics=(metric,),
-            q0s=[q0] * len(rhos), threads=int(cfg["threads"]),
+            q0s=[q0] * len(rhos), threads=_get(cfg, "threads", int),
         )
         for rho, st in zip(rhos, stats):
             sims[rho] = (st[metric].per_layer_mean, st[metric].per_layer_stderr)
@@ -259,38 +277,39 @@ _GRADSIM_DEFAULTS = {
     "instances": 100,
     "c0": 0.9,
     "q0": None,  # null -> solve the length fixed point
-    "seed": 0,
-    "threads": None,
-    "quad_order": DEFAULT_ORDER,
-    "out": ".",
-    "header_timestamp": True,
+    **_ENSEMBLE,
+    **_QUADRATURE,
+    **_OUTPUT,
 }
 
 _GRAD_METRICS = ("g_aa", "g_ab", "g_tilde_ab")
 
 
-def cmd_gradsim(args) -> dict:
-    cfg = _resolve(_GRADSIM_DEFAULTS, _load_config(args.config), args)
+def cmd_gradsim(cfg: dict) -> dict:
     act = Activation.parse(cfg["activation"])
-    rule = make_rule(int(cfg["quad_order"]))
+    rule = make_rule(_get(cfg, "quad_order", int))
     p = _params(cfg)
-    depth, width = int(cfg["depth"]), int(cfg["width"])
-    net_cfg = NetworkConfig(depth, width, p, act, seed=int(cfg["seed"]))
-    q0 = float(cfg["q0"]) if cfg["q0"] is not None else default_q0(net_cfg, rule)
-    c0 = float(cfg["c0"])
-    n_inst = int(cfg["instances"])
+    depth, width = _get(cfg, "depth", int), _get(cfg, "width", int)
+    net_cfg = NetworkConfig(depth, width, p, act, seed=_get(cfg, "seed", int))
+    q0 = _get(cfg, "q0") if cfg["q0"] is not None else default_q0(net_cfg, rule)
+    c0 = _get(cfg, "c0")
+    n_inst = _get(cfg, "instances", int)
 
     _progress(f"gradsim: {act.value} L={depth} N={width} x {n_inst} instances")
     if n_inst >= 2:
         stats = ensemble_run_many(
             [net_cfg], n_inst, c0=c0, metrics=_GRAD_METRICS,
-            q0s=[q0], threads=int(cfg["threads"]),
+            q0s=[q0], threads=_get(cfg, "threads", int),
         )[0]
         means = {m: stats[m].per_layer_mean for m in _GRAD_METRICS}
         errs = {m: stats[m].per_layer_stderr for m in _GRAD_METRICS}
     else:
-        single = _instance_metrics_many([net_cfg], 0, c0, [q0], _GRAD_METRICS)[0]
-        means = {m: single[m] for m in _GRAD_METRICS}
+        net = sample_network(net_cfg)
+        x_a, x_b = sample_inputs(width, q0, c0, net_cfg.seed)
+        means = gradient_metrics(
+            backward(net, forward(net, x_a, ROLE_MASK_A)),
+            backward(net, forward(net, x_b, ROLE_MASK_B)),
+        )
         errs = {m: [None] * depth for m in _GRAD_METRICS}  # stderr undefined at n=1
 
     d = depth_scales(p, act, rule)
@@ -352,33 +371,31 @@ _UNIVERSALITY_DEFAULTS = {
     "depth": 200,
     "instances": 30,
     "c0": 0.9,
-    "seed": 0,
-    "threads": None,
-    "quad_order": DEFAULT_ORDER,
-    "out": ".",
-    "header_timestamp": True,
+    **_ENSEMBLE,
+    **_QUADRATURE,
+    **_OUTPUT,
 }
 
 
-def cmd_universality(args) -> dict:
-    cfg = _resolve(_UNIVERSALITY_DEFAULTS, _load_config(args.config), args)
-    if not cfg["rows"]:
+def _row_triples(rows) -> list:
+    return [(Activation.parse(r["activation"]), float(r["rho"]), int(r["width"])) for r in rows]
+
+
+def cmd_universality(cfg: dict) -> dict:
+    triples = _get(cfg, "rows", _row_triples)
+    if not triples:
         raise ConfigError("universality needs a nonempty 'rows' list")
-    triples = [
-        (Activation.parse(r["activation"]), float(r["rho"]), int(r["width"]))
-        for r in cfg["rows"]
-    ]
     base = NetworkConfig(
-        depth_L=int(cfg["depth"]),
+        depth_L=_get(cfg, "depth", int),
         width_N=triples[0][2],
         params=_params(cfg),
         activation=triples[0][0],
-        seed=int(cfg["seed"]),
+        seed=_get(cfg, "seed", int),
     )
     _progress(f"universality: {len(triples)} configs x {cfg['instances']} instances")
     rows = universality_report(
-        triples, base, int(cfg["instances"]), c0=float(cfg["c0"]),
-        threads=int(cfg["threads"]),
+        triples, base, _get(cfg, "instances", int), c0=_get(cfg, "c0"),
+        threads=_get(cfg, "threads", int),
     )
 
     out_dir = Path(cfg["out"])
@@ -434,30 +451,26 @@ _PHASE_DEFAULTS = {
     "grid_log": True,
     "bound_multiplier": 12.0,
     "comparison_multiplier": 6.0,
-    "seed": 0,
-    "threads": None,
-    "quad_order": DEFAULT_ORDER,
-    "out": ".",
-    "header_timestamp": True,
+    **_QUADRATURE,
+    **_OUTPUT,
 }
 
 
-def cmd_phase(args) -> dict:
-    cfg = _resolve(_PHASE_DEFAULTS, _load_config(args.config), args)
+def cmd_phase(cfg: dict) -> dict:
     act = Activation.parse(cfg["activation"])
-    rule = make_rule(int(cfg["quad_order"]))
+    rule = make_rule(_get(cfg, "quad_order", int))
     grid = default_grid(
-        float(cfg["grid_min"]), float(cfg["grid_max"]),
-        int(cfg["grid_points"]), bool(cfg["grid_log"]),
+        _get(cfg, "grid_min"), _get(cfg, "grid_max"),
+        _get(cfg, "grid_points", int), bool(cfg["grid_log"]),
     )
     p_base = MeanFieldParams(
-        sigma_w_sq=grid[0], sigma_b_sq=float(cfg["sigma_b_sq"]), rho=float(cfg["rho"])
+        sigma_w_sq=grid[0], sigma_b_sq=_get(cfg, "sigma_b_sq"), rho=_get(cfg, "rho")
     )
     _progress(f"phase: {act.value} rho={cfg['rho']} over {grid.size} grid points")
     curve = depth_scale_grid(
         grid, p_base, act, rule,
-        bound_multiplier=float(cfg["bound_multiplier"]),
-        comparison_multiplier=float(cfg["comparison_multiplier"]),
+        bound_multiplier=_get(cfg, "bound_multiplier"),
+        comparison_multiplier=_get(cfg, "comparison_multiplier"),
     )
     for msg in curve.diagnostics:
         _progress(f"phase: not converged: {msg}")
@@ -492,25 +505,20 @@ _CRITICAL_DEFAULTS = {
     "sigma_b_sq": 0.05,
     "bracket_lo": 0.25,
     "bracket_hi": 4.0,
-    "seed": 0,
-    "threads": None,
-    "quad_order": DEFAULT_ORDER,
-    "out": ".",
-    "header_timestamp": True,
+    **_QUADRATURE,
 }
 
 
-def cmd_critical_line(args) -> dict:
-    cfg = _resolve(_CRITICAL_DEFAULTS, _load_config(args.config), args)
+def cmd_critical_line(cfg: dict) -> dict:
     act = Activation.parse(cfg["activation"])
-    rule = make_rule(int(cfg["quad_order"]))
+    rule = make_rule(_get(cfg, "quad_order", int))
     p_base = MeanFieldParams(
-        sigma_w_sq=float(cfg["bracket_lo"]),
-        sigma_b_sq=float(cfg["sigma_b_sq"]),
-        rho=float(cfg["rho"]),
+        sigma_w_sq=_get(cfg, "bracket_lo"),
+        sigma_b_sq=_get(cfg, "sigma_b_sq"),
+        rho=_get(cfg, "rho"),
     )
     crit = critical_line(
-        p_base, act, rule, (float(cfg["bracket_lo"]), float(cfg["bracket_hi"]))
+        p_base, act, rule, (_get(cfg, "bracket_lo"), _get(cfg, "bracket_hi"))
     )
     return {"command": "critical-line", "sigma_w_sq_crit": crit, "config": cfg}
 
@@ -522,21 +530,14 @@ _FIXED_POINT_DEFAULTS = {
     "rho": 1.0,
     "q0": 1.0,
     "c0": 0.9,
-    "seed": 0,
-    "threads": None,
-    "quad_order": DEFAULT_ORDER,
-    "out": ".",
-    "header_timestamp": True,
+    **_QUADRATURE,
 }
 
 
-def cmd_fixed_point(args) -> dict:
-    cfg = _resolve(_FIXED_POINT_DEFAULTS, _load_config(args.config), args)
+def cmd_fixed_point(cfg: dict) -> dict:
     act = Activation.parse(cfg["activation"])
-    rule = make_rule(int(cfg["quad_order"]))
-    d = depth_scales(
-        _params(cfg), act, rule, q0=float(cfg["q0"]), c0=float(cfg["c0"])
-    )
+    rule = make_rule(_get(cfg, "quad_order", int))
+    d = depth_scales(_params(cfg), act, rule, q0=_get(cfg, "q0"), c0=_get(cfg, "c0"))
     out = {"command": "fixed-point", "config": cfg}
     out["q_star"] = d.q_star
     out["c_star"] = d.c_star
@@ -554,12 +555,12 @@ def cmd_fixed_point(args) -> dict:
 # ---------------------------------------------------------------------------
 
 _COMMANDS = {
-    "lengthmap": cmd_lengthmap,
-    "gradsim": cmd_gradsim,
-    "universality": cmd_universality,
-    "phase": cmd_phase,
-    "critical-line": cmd_critical_line,
-    "fixed-point": cmd_fixed_point,
+    "lengthmap": (cmd_lengthmap, _LENGTHMAP_DEFAULTS),
+    "gradsim": (cmd_gradsim, _GRADSIM_DEFAULTS),
+    "universality": (cmd_universality, _UNIVERSALITY_DEFAULTS),
+    "phase": (cmd_phase, _PHASE_DEFAULTS),
+    "critical-line": (cmd_critical_line, _CRITICAL_DEFAULTS),
+    "fixed-point": (cmd_fixed_point, _FIXED_POINT_DEFAULTS),
 }
 
 
@@ -569,19 +570,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mean-field depth scales for deep dropout networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, defaults) in _COMMANDS.items():
         p = sub.add_parser(name, help=f"run the {name} recipe")
         p.add_argument("--config", help="JSON config document")
+        # every recipe accepts these two; critical-line and fixed-point
+        # write no files, so they do nothing there
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="base seed (64-bit)")
-        p.add_argument("--threads", type=int, help="parallel instances (default: MFDL_THREADS or 1)")
-        p.add_argument("--quad-order", dest="quad_order", type=int, help="quadrature order")
-        p.add_argument("--instances", type=int, help="ensemble size")
         p.add_argument(
             "--no-header-timestamp",
             action="store_true",
             help="omit the timestamp header line (byte-identical reruns)",
         )
+        p.add_argument("--quad-order", dest="quad_order", type=int, help="quadrature order")
+        if "instances" in defaults:  # the ensemble recipes
+            p.add_argument("--seed", type=int, help="base seed (64-bit)")
+            p.add_argument("--threads", type=int, help="parallel instances (default: MFDL_THREADS or 1)")
+            p.add_argument("--instances", type=int, help="ensemble size")
     return parser
 
 
@@ -591,8 +595,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    command, defaults = _COMMANDS[args.command]
     try:
-        summary = _COMMANDS[args.command](args)
+        summary = command(_resolve(defaults, _load_config(args.config), args))
     except ConfigError as exc:
         print(f"mfdl: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,6 +13,16 @@ and the SAME stored masks:
     delta^l = phi'(z^l) . (p^{l+1}/rho) . (W^{l+1})^T delta^{l+1}
     dE/dW^l_ij = (p^l_j / rho) phi(z^{l-1}_j) delta^l_i
 
+One kernel
+----------
+Every trace runs through one forward loop (_forward_many) and one backward
+loop (_backward_many).  A call takes any number of (config, input, masks)
+jobs of one network instance, generates each layer's weight matrix once per
+pass and multiplies every job's vector by it, one matvec per job.  The
+single-trace API (forward, backward) makes one-job calls; an ensemble
+instance runs both inputs of every config in one call and reduces them
+with gradient_metrics, so the two agree bit for bit by construction.
+
 Randomness and reproducibility
 ------------------------------
 All randomness is drawn as scale-free primitives -- standard normals for
@@ -30,10 +40,6 @@ primitives.  Consequences:
   * weight matrices are regenerated from their per-layer stream on the fly
     in both passes instead of being stored (L*N^2 doubles would not fit in
     memory at depth-200/width-1000 scale).
-
-Scaling is folded into the layer input vector rather than the N x N matrix
-(W @ v with W = s*G equals G @ (s*v) exactly as evaluated here), which both
-passes and the fused multi-config path share, keeping them bit-identical.
 
 All arithmetic is float64; gradient products across hundreds of layers
 underflow float32.
@@ -197,30 +203,65 @@ class GradientTrace:
         return np.outer(self.deltas[layer - 1], self.input_factors[layer - 1])
 
 
-def _mask_block(cfg: NetworkConfig, instance: int, mask_role: int) -> np.ndarray:
-    u = stream(cfg.seed, instance, mask_role).random((cfg.depth_L, cfg.width_N))
-    return u < cfg.params.rho
-
-
-def _forward_kernel(w_std, y_prev, mask_row, bias_std_row, s_in, sigma_b):
-    """z = W_std @ ((mask * y) * s_in) + sigma_b * bias_std.
-
-    s_in folds sqrt(sigma_w^2/N)/rho into the layer input so the N x N
-    matrix itself never needs scaling.  Shared verbatim by the single-trace
-    and fused multi-config paths to keep them bit-identical.
-    """
-    v = (mask_row * y_prev) * s_in
-    return w_std @ v + sigma_b * bias_std_row
-
-
-def _backward_kernel(w_std_next, delta_next, dphi_z, mask_next_row, s_in):
-    """delta^l from delta^{l+1} using the transposed (regenerated) weights."""
-    t = w_std_next.T @ delta_next
-    return dphi_z * (mask_next_row * t) * s_in
+def _mask_uniforms(cfg: NetworkConfig, instance: int, mask_role: int) -> np.ndarray:
+    """The (L, N) uniforms of one mask stream; the masks are uniforms < rho."""
+    return stream(cfg.seed, instance, mask_role).random((cfg.depth_L, cfg.width_N))
 
 
 def _input_scale(cfg: NetworkConfig) -> float:
     return math.sqrt(cfg.params.sigma_w_sq / cfg.width_N) / cfg.params.rho
+
+
+def _forward_many(net: NetworkInstance, jobs) -> list[ForwardTrace]:
+    """Forward passes of (config, x, masks, input_id) jobs through net.
+
+    Every job's config shares net's (seed, width, depth); each layer's
+    weight matrix is generated once and multiplies each job's input in turn:
+    z = W_std @ ((mask * y) * s_in) + sigma_b * bias_std, where s_in folds
+    sqrt(sigma_w^2/N)/rho into the input so the matrix is never scaled.
+    """
+    L, N = net.config.depth_L, net.config.width_N
+    bias_std = net.bias_std_block()
+    traces = [
+        ForwardTrace(cfg, net.instance, input_id, x, np.empty((L, N)), masks)
+        for cfg, x, masks, input_id in jobs
+    ]
+    scales = [(_input_scale(t.config), math.sqrt(t.config.params.sigma_b_sq)) for t in traces]
+    ys = [t.x for t in traces]
+    for l in range(1, L + 1):
+        w_std = net.weight_std(l)
+        for k, (t, (s_in, sb)) in enumerate(zip(traces, scales)):
+            v = (t.masks[l - 1] * ys[k]) * s_in
+            t.pre_activations[l - 1] = w_std @ v + sb * bias_std[l - 1]
+            ys[k] = t.config.activation.value_at(t.pre_activations[l - 1])
+    return traces
+
+
+def _backward_many(net: NetworkInstance, traces) -> list[GradientTrace]:
+    """Exact backpropagation of E = sum (z^L)^2 for every trace of net.
+
+    Reuses each trace's stored masks and regenerates net's weights from
+    their per-layer streams, once per layer for all traces.
+    """
+    L, N = net.config.depth_L, net.config.width_N
+    grads = [
+        GradientTrace(t.config, t.instance, t.input_id, np.empty((L, N)), np.empty((L, N)))
+        for t in traces
+    ]
+    s_ins = [_input_scale(t.config) for t in traces]
+    for t, g in zip(traces, grads):
+        g.deltas[L - 1] = 2.0 * t.pre_activations[L - 1]
+        y, inv_rho = t.x, 1.0 / t.config.params.rho
+        for l in range(L):
+            g.input_factors[l] = (t.masks[l] * y) * inv_rho
+            y = t.config.activation.value_at(t.pre_activations[l])
+    for l in range(L - 1, 0, -1):
+        w_std = net.weight_std(l + 1)
+        for t, g, s_in in zip(traces, grads, s_ins):
+            back = w_std.T @ g.deltas[l]
+            dphi = t.config.activation.derivative_at(t.pre_activations[l - 1])
+            g.deltas[l - 1] = dphi * (t.masks[l] * back) * s_in
+    return grads
 
 
 def forward(net: NetworkInstance, x: np.ndarray, mask_role: int) -> ForwardTrace:
@@ -233,25 +274,9 @@ def forward(net: NetworkInstance, x: np.ndarray, mask_role: int) -> ForwardTrace
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (cfg.width_N,):
         raise ConfigError(f"input must have shape ({cfg.width_N},), got {x.shape}")
-    masks = _mask_block(cfg, net.instance, mask_role)
-    bias_std = net.bias_std_block()
-    s_in = _input_scale(cfg)
-    sb = math.sqrt(cfg.params.sigma_b_sq)
-    z = np.empty((cfg.depth_L, cfg.width_N))
-    y = x
-    for l in range(1, cfg.depth_L + 1):
-        w_std = net.weight_std(l)
-        z[l - 1] = _forward_kernel(w_std, y, masks[l - 1], bias_std[l - 1], s_in, sb)
-        y = cfg.activation.value_at(z[l - 1])
+    masks = _mask_uniforms(cfg, net.instance, mask_role) < cfg.params.rho
     input_id = {ROLE_MASK_A: "a", ROLE_MASK_B: "b"}.get(mask_role, str(mask_role))
-    return ForwardTrace(
-        config=cfg,
-        instance=net.instance,
-        input_id=input_id,
-        x=x,
-        pre_activations=z,
-        masks=masks,
-    )
+    return _forward_many(net, [(cfg, x, masks, input_id)])[0]
 
 
 def backward(net: NetworkInstance, trace: ForwardTrace) -> GradientTrace:
@@ -260,34 +285,9 @@ def backward(net: NetworkInstance, trace: ForwardTrace) -> GradientTrace:
     Reuses the trace's stored masks and regenerates the same weights from
     their per-layer streams.
     """
-    cfg = net.config
-    if trace.config != cfg or trace.instance != net.instance:
+    if trace.config != net.config or trace.instance != net.instance:
         raise ConfigError("trace was produced by a different network instance")
-    L, N = cfg.depth_L, cfg.width_N
-    act = cfg.activation
-    s_in = _input_scale(cfg)
-    z = trace.pre_activations
-    masks = trace.masks
-    deltas = np.empty((L, N))
-    deltas[L - 1] = 2.0 * z[L - 1]
-    for l in range(L - 1, 0, -1):
-        w_std_next = net.weight_std(l + 1)
-        deltas[l - 1] = _backward_kernel(
-            w_std_next, deltas[l], act.derivative_at(z[l - 1]), masks[l], s_in
-        )
-    factors = np.empty((L, N))
-    inv_rho = 1.0 / cfg.params.rho
-    y_prev = trace.x
-    for l in range(1, L + 1):
-        factors[l - 1] = (masks[l - 1] * y_prev) * inv_rho
-        y_prev = act.value_at(z[l - 1])
-    return GradientTrace(
-        config=cfg,
-        instance=net.instance,
-        input_id=trace.input_id,
-        deltas=deltas,
-        input_factors=factors,
-    )
+    return _backward_many(net, [trace])[0]
 
 
 def gradient_metrics(ga: GradientTrace, gb: GradientTrace) -> dict[str, np.ndarray]:
@@ -335,133 +335,44 @@ def _validate_metrics(metrics) -> tuple[str, ...]:
 def _instance_metrics_many(configs, instance, c0, q0s, metrics):
     """All requested per-layer metrics for one instance of every config.
 
-    Configs share (seed, width, depth); each weight matrix is generated once
-    per layer and reused across configs and passes, which is bit-identical
-    to running each config alone because the primitive streams are
-    scale-free.
+    Configs share (seed, width, depth): the inputs of every config run
+    through one _forward_many / _backward_many call, so each weight matrix
+    is generated once per pass for all of them.
     """
-    base = configs[0]
-    L, N = base.depth_L, base.width_N
-    seed = base.seed
-    n_cfg = len(configs)
+    net = sample_network(configs[0], instance)
+    N = net.config.width_N
+    pair = any(m in ("c_ab", "g_ab", "g_tilde_ab") for m in metrics)
+    roles = (ROLE_MASK_A, ROLE_MASK_B) if pair else (ROLE_MASK_A,)
+    uniforms = [_mask_uniforms(net.config, instance, role) for role in roles]
+    jobs = []
+    for cfg, q0 in zip(configs, q0s):
+        # metrics of input a alone ignore c0; c0 = 1 keeps width 1 valid for them
+        inputs = sample_inputs(N, q0, c0 if pair else 1.0, cfg.seed, instance)
+        jobs += [(cfg, x, u < cfg.params.rho, i) for x, u, i in zip(inputs, uniforms, "ab")]
+    traces = _forward_many(net, jobs)
+    grads = _backward_many(net, traces) if any(m.startswith("g_") for m in metrics) else None
 
-    need_b = any(m in ("c_ab", "g_ab", "g_tilde_ab") for m in metrics)
-    need_grad = any(m in ("g_aa", "g_ab", "g_tilde_ab") for m in metrics)
-
-    g_raw = stream(seed, instance, ROLE_INPUT).standard_normal((2, N))
-    u_a = stream(seed, instance, ROLE_MASK_A).random((L, N))
-    u_b = stream(seed, instance, ROLE_MASK_B).random((L, N)) if need_b else None
-    bias_std = stream(seed, instance, ROLE_BIAS).standard_normal((L, N))
-
-    # per-config state
-    xs, masks_a, masks_b, s_ins, sbs = [], [], [], [], []
-    z_a = [np.empty((L, N)) for _ in range(n_cfg)]
-    z_b = [np.empty((L, N)) for _ in range(n_cfg)] if need_b else None
-    y_a = [None] * n_cfg
-    y_b = [None] * n_cfg
-    for k, cfg in enumerate(configs):
-        x_a, x_b = _inputs_from_primitives(g_raw, N, q0s[k], c0)
-        xs.append((x_a, x_b))
-        masks_a.append(u_a < cfg.params.rho)
-        masks_b.append(u_b < cfg.params.rho if need_b else None)
-        s_ins.append(_input_scale(cfg))
-        sbs.append(math.sqrt(cfg.params.sigma_b_sq))
-        y_a[k] = x_a
-        y_b[k] = x_b
-
-    for l in range(1, L + 1):
-        w_std = stream(seed, instance, ROLE_WEIGHTS, l).standard_normal((N, N))
-        for k, cfg in enumerate(configs):
-            z_a[k][l - 1] = _forward_kernel(
-                w_std, y_a[k], masks_a[k][l - 1], bias_std[l - 1], s_ins[k], sbs[k]
-            )
-            y_a[k] = cfg.activation.value_at(z_a[k][l - 1])
-            if need_b:
-                z_b[k][l - 1] = _forward_kernel(
-                    w_std, y_b[k], masks_b[k][l - 1], bias_std[l - 1], s_ins[k], sbs[k]
-                )
-                y_b[k] = cfg.activation.value_at(z_b[k][l - 1])
-
-    out = [dict() for _ in range(n_cfg)]
-    for k in range(n_cfg):
+    n_in = len(roles)
+    out = []
+    for k in range(len(configs)):
+        a, b = k * n_in, k * n_in + n_in - 1  # without a pair, b is a
+        z_a, z_b = traces[a].pre_activations, traces[b].pre_activations
+        res = {}
         if "q_aa" in metrics:
-            out[k]["q_aa"] = np.einsum("li,li->l", z_a[k], z_a[k]) / N
+            res["q_aa"] = np.einsum("li,li->l", z_a, z_a) / N
         if "c_ab" in metrics:
-            qa = np.einsum("li,li->l", z_a[k], z_a[k])
-            qb = np.einsum("li,li->l", z_b[k], z_b[k])
-            cross = np.einsum("li,li->l", z_a[k], z_b[k])
+            qa = np.einsum("li,li->l", z_a, z_a)
+            qb = np.einsum("li,li->l", z_b, z_b)
+            cross = np.einsum("li,li->l", z_a, z_b)
             denom = np.sqrt(qa * qb)
             if np.any(denom == 0.0):
                 raise DegenerateStateError("zero-length layer; correlation undefined")
-            out[k]["c_ab"] = cross / denom
-
-    if not need_grad:
-        return out
-
-    d_a = [2.0 * z_a[k][L - 1] for k in range(n_cfg)]
-    d_b = [2.0 * z_b[k][L - 1] for k in range(n_cfg)] if need_b else None
-    deltas_a = [np.empty((L, N)) for _ in range(n_cfg)]
-    deltas_b = [np.empty((L, N)) for _ in range(n_cfg)] if need_b else None
-    for k in range(n_cfg):
-        deltas_a[k][L - 1] = d_a[k]
-        if need_b:
-            deltas_b[k][L - 1] = d_b[k]
-    for l in range(L - 1, 0, -1):
-        w_std = stream(seed, instance, ROLE_WEIGHTS, l + 1).standard_normal((N, N))
-        for k, cfg in enumerate(configs):
-            act = cfg.activation
-            deltas_a[k][l - 1] = _backward_kernel(
-                w_std, deltas_a[k][l], act.derivative_at(z_a[k][l - 1]),
-                masks_a[k][l], s_ins[k],
-            )
-            if need_b:
-                deltas_b[k][l - 1] = _backward_kernel(
-                    w_std, deltas_b[k][l], act.derivative_at(z_b[k][l - 1]),
-                    masks_b[k][l], s_ins[k],
-                )
-
-    for k, cfg in enumerate(configs):
-        act = cfg.activation
-        inv_rho = 1.0 / cfg.params.rho
-        va = np.empty((L, N))
-        vb = np.empty((L, N)) if need_b else None
-        ya, yb = xs[k][0], xs[k][1]
-        for l in range(1, L + 1):
-            va[l - 1] = (masks_a[k][l - 1] * ya) * inv_rho
-            ya = act.value_at(z_a[k][l - 1])
-            if need_b:
-                vb[l - 1] = (masks_b[k][l - 1] * yb) * inv_rho
-                yb = act.value_at(z_b[k][l - 1])
-        n_sq = float(N) ** 2
-        if "g_aa" in metrics:
-            out[k]["g_aa"] = (
-                np.einsum("li,li->l", deltas_a[k], deltas_a[k])
-                * np.einsum("li,li->l", va, va)
-                / n_sq
-            )
-        if "g_ab" in metrics:
-            out[k]["g_ab"] = np.abs(
-                np.einsum("li,li->l", deltas_a[k], deltas_b[k])
-                * np.einsum("li,li->l", va, vb)
-            ) / n_sq
-        if "g_tilde_ab" in metrics:
-            out[k]["g_tilde_ab"] = (
-                np.einsum("li->l", np.abs(deltas_a[k] * deltas_b[k]))
-                * np.einsum("li->l", np.abs(va * vb))
-                / n_sq
-            )
+            res["c_ab"] = cross / denom
+        if grads is not None:
+            g = gradient_metrics(grads[a], grads[b])
+            res.update((m, g[m]) for m in metrics if m in g)
+        out.append(res)
     return out
-
-
-def _inputs_from_primitives(g_raw, N, q0, c0):
-    """sample_inputs applied to pre-drawn direction primitives."""
-    target = math.sqrt(q0 * N)
-    x_a = g_raw[0] * (target / np.linalg.norm(g_raw[0]))
-    if abs(c0) == 1.0:
-        return x_a, math.copysign(1.0, c0) * x_a
-    u = g_raw[1] - (np.dot(g_raw[1], x_a) / np.dot(x_a, x_a)) * x_a
-    e = u * (target / np.linalg.norm(u))
-    return x_a, c0 * x_a + math.sqrt(1.0 - c0 * c0) * e
 
 
 def default_q0(cfg: NetworkConfig, rule: QuadratureRule | None = None) -> float:

@@ -9,8 +9,8 @@ exponent per (activation, rho, width, metric) combination.
 
 from __future__ import annotations
 
+import logging
 import math
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,6 +18,8 @@ import numpy as np
 from .activations import Activation
 from .errors import ConfigError, MfdlError
 from .simulator import NetworkConfig, ensemble_run_many
+
+logger = logging.getLogger(__name__)
 
 UNDERFLOW_FLOOR = 1e-300
 
@@ -172,9 +174,8 @@ def universality_report(
                 )
     for row in rows:
         if row.error is not None:
-            print(
-                f"universality: {row.activation.value} rho={row.rho} N={row.width} "
-                f"{row.metric}: {row.error}",
-                file=sys.stderr,
+            logger.warning(
+                "universality: %s rho=%s N=%s %s: %s",
+                row.activation.value, row.rho, row.width, row.metric, row.error,
             )
     return rows

@@ -210,7 +210,51 @@ class TestScalarCommands:
         assert rc == EXIT_IO
 
 
+class TestRecipeFields:
+    """Each recipe accepts only the config fields and flags it uses."""
+
+    @pytest.mark.parametrize(
+        "command, field",
+        [("phase", "seed"), ("phase", "threads"),
+         ("critical-line", "seed"), ("critical-line", "threads"),
+         ("critical-line", "out"), ("critical-line", "header_timestamp"),
+         ("fixed-point", "seed"), ("fixed-point", "threads"),
+         ("fixed-point", "out"), ("fixed-point", "header_timestamp")],
+    )
+    def test_unused_field_rejected(self, tmp_path, command, field):
+        cfg = _write_cfg(tmp_path, "c.json", {field: 1})
+        assert main([command, "--config", cfg]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["phase", "critical-line", "fixed-point"])
+    @pytest.mark.parametrize("flag", ["--seed", "--threads", "--instances"])
+    def test_ensemble_flags_rejected_on_theory_recipes(self, command, flag):
+        assert main([command, flag, "3"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["critical-line", "fixed-point"])
+    def test_json_recipes_accept_and_ignore_output_flags(self, tmp_path, capsys, command):
+        rc = main([command, "--out", str(tmp_path / "unused"), "--no-header-timestamp"])
+        assert rc == EXIT_OK
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert not {"seed", "threads", "out", "header_timestamp"} & set(config)
+        assert not (tmp_path / "unused").exists()
+
+    def test_malformed_value_is_usage_error(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, "c.json", {"depth": "abc"})
+        assert main(["gradsim", "--config", cfg, "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "'depth'" in capsys.readouterr().err
+
+
 class TestThreadsEnv:
+    def test_malformed_env_is_usage_error(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MFDL_THREADS", "two")
+        cfg = _write_cfg(tmp_path, "c.json", {"depth": 3, "width": 8, "instances": 2})
+        assert main(["gradsim", "--config", cfg, "--out", str(tmp_path)]) == EXIT_USAGE
+
+    def test_env_ignored_without_threads_field(self, monkeypatch, capsys):
+        monkeypatch.setenv("MFDL_THREADS", "two")
+        assert main(["fixed-point"]) == EXIT_OK
+        assert "threads" not in json.loads(capsys.readouterr().out)["config"]
+
     def test_env_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MFDL_THREADS", "2")
         cfg = _write_cfg(tmp_path, "c.json", {"rhos": [1.0], "layers": 3, "simulate": False})

@@ -9,6 +9,7 @@ from mfdl.activations import Activation
 from mfdl.errors import ConfigError
 from mfdl.meanfield import MeanFieldParams, depth_scales, q_trajectory
 from mfdl.simulator import (
+    METRIC_NAMES,
     ROLE_MASK_A,
     ROLE_MASK_B,
     NetworkConfig,
@@ -246,7 +247,60 @@ class TestGradientMetrics:
             gradient_metrics(ga, gb)
 
 
+class TestSingleTraceIdentity:
+    """The single-trace API (forward, backward, gradient_metrics) reproduces
+    the ensemble's per-instance metrics bit for bit."""
+
+    @staticmethod
+    def _single(cfg, instance, c0, q0):
+        net = sample_network(cfg, instance)
+        xa, xb = sample_inputs(cfg.width_N, q0, c0, cfg.seed, instance)
+        ta, tb = forward(net, xa, ROLE_MASK_A), forward(net, xb, ROLE_MASK_B)
+        za, zb = ta.pre_activations, tb.pre_activations
+        qa, qb = np.einsum("li,li->l", za, za), np.einsum("li,li->l", zb, zb)
+        out = gradient_metrics(backward(net, ta), backward(net, tb))
+        out["q_aa"] = qa / cfg.width_N
+        out["c_ab"] = np.einsum("li,li->l", za, zb) / np.sqrt(qa * qb)
+        return out
+
+    @pytest.mark.parametrize(
+        "metrics",
+        [("q_aa",), ("g_aa",), ("c_ab", "g_tilde_ab"), ("q_aa", "c_ab", "g_aa", "g_ab", "g_tilde_ab")],
+    )
+    @pytest.mark.parametrize("rho", [1.0, 0.6])
+    @pytest.mark.parametrize("act", list(Activation))
+    def test_one_config(self, act, rho, metrics):
+        cfg = _cfg(depth=5, width=16, sw2=1.1, rho=rho, act=act, seed=31)
+        for instance in range(3):
+            fused = _instance_metrics_many([cfg], instance, 0.6, [1.3], metrics)[0]
+            single = self._single(cfg, instance, 0.6, 1.3)
+            assert set(fused) == set(metrics)
+            for m in metrics:
+                np.testing.assert_array_equal(fused[m], single[m])
+
+    def test_mixed_activations(self):
+        cfgs = [
+            _cfg(depth=5, width=16, rho=0.6, act=Activation.RELU, seed=31),
+            _cfg(depth=5, width=16, sw2=1.4, rho=1.0, act=Activation.ERF, seed=31),
+        ]
+        q0s = [0.7, 1.9]
+        fused = _instance_metrics_many(cfgs, 2, 0.3, q0s, METRIC_NAMES)
+        for cfg, q0, got in zip(cfgs, q0s, fused):
+            single = self._single(cfg, 2, 0.3, q0)
+            for m in METRIC_NAMES:
+                np.testing.assert_array_equal(got[m], single[m])
+
+
 class TestEnsemble:
+    def test_width_one_needs_exact_correlation(self):
+        """A width-1 pair of inputs cannot have |c0| < 1, so pair metrics are
+        rejected, while single-input metrics stay well defined."""
+        cfg = _cfg(depth=3, width=1)
+        with pytest.raises(ConfigError):
+            ensemble_run(cfg, 2, c0=0.5, metrics=("c_ab",))
+        q = ensemble_run(cfg, 2, c0=0.5, metrics=("q_aa",), q0=1.0)["q_aa"]
+        assert np.all(np.isfinite(q.per_layer_mean))
+
     def test_bit_reproducible(self):
         cfg = _cfg(depth=5, width=32)
         a = ensemble_run(cfg, 4, metrics=("q_aa", "g_aa"))

@@ -86,9 +86,9 @@ class TestReport:
             assert isinstance(row.fit, PowerLawFit)
             assert row.width == 24 and row.rho == 1.0
 
-    def test_failing_row_does_not_abort_others(self, capsys):
-        """A config whose length map diverges reports an error; the healthy
-        config in the same batch still gets fitted."""
+    def test_failing_row_does_not_abort_others(self, caplog):
+        """A config whose length map diverges reports an error, logged as a
+        warning; the healthy config in the same batch still gets fitted."""
         base = NetworkConfig(10, 16, MeanFieldParams(0.5, 0.1, 1.0), Activation.LINEAR, seed=4)
         rows = universality_report(
             [(Activation.LINEAR, 1.0, 16), (Activation.LINEAR, 0.4, 16)], base, 2
@@ -97,7 +97,9 @@ class TestReport:
         bad = [r for r in rows if r.rho == 0.4]
         assert all(r.fit is not None for r in good)
         assert all(r.fit is None and "NonConvergence" in r.error for r in bad)
-        assert "rho=0.4" in capsys.readouterr().err
+        warned = [r for r in caplog.records if r.name == "mfdl.universality"]
+        assert [r.levelname for r in warned] == ["WARNING"] * 3
+        assert all("rho=0.4" in r.getMessage() for r in warned)
 
     def test_empty_configs_rejected(self):
         base = NetworkConfig(10, 16, MeanFieldParams(0.5, 0.1, 1.0), Activation.TANH)
