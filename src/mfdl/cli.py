@@ -46,7 +46,6 @@ from .meanfield import (
     q_trajectory,
 )
 from .phase import critical_line, default_grid, depth_scale_grid
-from .quadrature import DEFAULT_ORDER, make_rule
 from .simulator import (
     ROLE_MASK_A,
     ROLE_MASK_B,
@@ -134,7 +133,7 @@ def _resolve(defaults: dict, file_cfg: dict, args: argparse.Namespace) -> dict:
         if key not in defaults:
             raise ConfigError(f"unknown config field {key!r}; valid: {sorted(defaults)}")
         cfg[key] = val
-    for key in ("seed", "threads", "quad_order", "instances", "out"):
+    for key in ("seed", "threads", "instances", "out"):
         val = getattr(args, key, None)
         if val is not None and key in defaults:
             cfg[key] = val
@@ -167,7 +166,6 @@ def _progress(msg: str):
 
 # Shared config blocks: ensemble recipes draw seeded instances on `threads`
 # workers (null: MFDL_THREADS, else 1), file recipes write CSVs under `out`.
-_QUADRATURE = {"quad_order": DEFAULT_ORDER}
 _ENSEMBLE = {"seed": 0, "threads": None}
 _OUTPUT = {"out": ".", "header_timestamp": True}
 
@@ -189,14 +187,12 @@ _LENGTHMAP_DEFAULTS = {
     "width": 1000,
     "instances": 100,
     **_ENSEMBLE,
-    **_QUADRATURE,
     **_OUTPUT,
 }
 
 
 def cmd_lengthmap(cfg: dict) -> dict:
     act = Activation.parse(cfg["activation"])
-    rule = make_rule(_get(cfg, "quad_order", int))
     quantity = cfg["quantity"]
     if quantity not in ("q", "c"):
         raise ConfigError(f"quantity must be 'q' or 'c', got {quantity!r}")
@@ -210,9 +206,9 @@ def cmd_lengthmap(cfg: dict) -> dict:
     for rho in rhos:
         p = replace(_params(cfg), rho=rho)
         if quantity == "q":
-            theory[rho] = q_trajectory(q0, layers, p, act, rule)
+            theory[rho] = q_trajectory(q0, layers, p, act)
         else:
-            theory[rho] = c_trajectory(q0, c0, layers, p, act, rule)[1]
+            theory[rho] = c_trajectory(q0, c0, layers, p, act)[1]
 
     sims = {rho: (None, None) for rho in rhos}
     if cfg["simulate"]:
@@ -278,7 +274,6 @@ _GRADSIM_DEFAULTS = {
     "c0": 0.9,
     "q0": None,  # null -> solve the length fixed point
     **_ENSEMBLE,
-    **_QUADRATURE,
     **_OUTPUT,
 }
 
@@ -287,13 +282,14 @@ _GRAD_METRICS = ("g_aa", "g_ab", "g_tilde_ab")
 
 def cmd_gradsim(cfg: dict) -> dict:
     act = Activation.parse(cfg["activation"])
-    rule = make_rule(_get(cfg, "quad_order", int))
     p = _params(cfg)
     depth, width = _get(cfg, "depth", int), _get(cfg, "width", int)
-    net_cfg = NetworkConfig(depth, width, p, act, seed=_get(cfg, "seed", int))
-    q0 = _get(cfg, "q0") if cfg["q0"] is not None else default_q0(net_cfg, rule)
-    c0 = _get(cfg, "c0")
     n_inst = _get(cfg, "instances", int)
+    if n_inst < 1:
+        raise ConfigError(f"instances must be >= 1, got {n_inst}")
+    net_cfg = NetworkConfig(depth, width, p, act, seed=_get(cfg, "seed", int))
+    q0 = _get(cfg, "q0") if cfg["q0"] is not None else default_q0(net_cfg)
+    c0 = _get(cfg, "c0")
 
     _progress(f"gradsim: {act.value} L={depth} N={width} x {n_inst} instances")
     if n_inst >= 2:
@@ -312,7 +308,7 @@ def cmd_gradsim(cfg: dict) -> dict:
         )
         errs = {m: [None] * depth for m in _GRAD_METRICS}  # stderr undefined at n=1
 
-    d = depth_scales(p, act, rule)
+    d = depth_scales(p, act)
     q_ab_star = d.c_star * d.q_star
     is_linear = act is Activation.LINEAR
     base_aa = float(means["g_aa"][depth - 1])
@@ -372,7 +368,6 @@ _UNIVERSALITY_DEFAULTS = {
     "instances": 30,
     "c0": 0.9,
     **_ENSEMBLE,
-    **_QUADRATURE,
     **_OUTPUT,
 }
 
@@ -385,6 +380,9 @@ def cmd_universality(cfg: dict) -> dict:
     triples = _get(cfg, "rows", _row_triples)
     if not triples:
         raise ConfigError("universality needs a nonempty 'rows' list")
+    n_inst = _get(cfg, "instances", int)
+    if n_inst < 2:  # every fit needs a per-layer variance
+        raise ConfigError(f"universality needs instances >= 2, got {n_inst}")
     base = NetworkConfig(
         depth_L=_get(cfg, "depth", int),
         width_N=triples[0][2],
@@ -394,7 +392,7 @@ def cmd_universality(cfg: dict) -> dict:
     )
     _progress(f"universality: {len(triples)} configs x {cfg['instances']} instances")
     rows = universality_report(
-        triples, base, _get(cfg, "instances", int), c0=_get(cfg, "c0"),
+        triples, base, n_inst, c0=_get(cfg, "c0"),
         threads=_get(cfg, "threads", int),
     )
 
@@ -451,14 +449,12 @@ _PHASE_DEFAULTS = {
     "grid_log": True,
     "bound_multiplier": 12.0,
     "comparison_multiplier": 6.0,
-    **_QUADRATURE,
     **_OUTPUT,
 }
 
 
 def cmd_phase(cfg: dict) -> dict:
     act = Activation.parse(cfg["activation"])
-    rule = make_rule(_get(cfg, "quad_order", int))
     grid = default_grid(
         _get(cfg, "grid_min"), _get(cfg, "grid_max"),
         _get(cfg, "grid_points", int), bool(cfg["grid_log"]),
@@ -468,7 +464,7 @@ def cmd_phase(cfg: dict) -> dict:
     )
     _progress(f"phase: {act.value} rho={cfg['rho']} over {grid.size} grid points")
     curve = depth_scale_grid(
-        grid, p_base, act, rule,
+        grid, p_base, act,
         bound_multiplier=_get(cfg, "bound_multiplier"),
         comparison_multiplier=_get(cfg, "comparison_multiplier"),
     )
@@ -505,20 +501,18 @@ _CRITICAL_DEFAULTS = {
     "sigma_b_sq": 0.05,
     "bracket_lo": 0.25,
     "bracket_hi": 4.0,
-    **_QUADRATURE,
 }
 
 
 def cmd_critical_line(cfg: dict) -> dict:
     act = Activation.parse(cfg["activation"])
-    rule = make_rule(_get(cfg, "quad_order", int))
     p_base = MeanFieldParams(
         sigma_w_sq=_get(cfg, "bracket_lo"),
         sigma_b_sq=_get(cfg, "sigma_b_sq"),
         rho=_get(cfg, "rho"),
     )
     crit = critical_line(
-        p_base, act, rule, (_get(cfg, "bracket_lo"), _get(cfg, "bracket_hi"))
+        p_base, act, (_get(cfg, "bracket_lo"), _get(cfg, "bracket_hi"))
     )
     return {"command": "critical-line", "sigma_w_sq_crit": crit, "config": cfg}
 
@@ -530,14 +524,12 @@ _FIXED_POINT_DEFAULTS = {
     "rho": 1.0,
     "q0": 1.0,
     "c0": 0.9,
-    **_QUADRATURE,
 }
 
 
 def cmd_fixed_point(cfg: dict) -> dict:
     act = Activation.parse(cfg["activation"])
-    rule = make_rule(_get(cfg, "quad_order", int))
-    d = depth_scales(_params(cfg), act, rule, q0=_get(cfg, "q0"), c0=_get(cfg, "c0"))
+    d = depth_scales(_params(cfg), act, q0=_get(cfg, "q0"), c0=_get(cfg, "c0"))
     out = {"command": "fixed-point", "config": cfg}
     out["q_star"] = d.q_star
     out["c_star"] = d.c_star
@@ -581,7 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="omit the timestamp header line (byte-identical reruns)",
         )
-        p.add_argument("--quad-order", dest="quad_order", type=int, help="quadrature order")
         if "instances" in defaults:  # the ensemble recipes
             p.add_argument("--seed", type=int, help="base seed (64-bit)")
             p.add_argument("--threads", type=int, help="parallel instances (default: MFDL_THREADS or 1)")

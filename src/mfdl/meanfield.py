@@ -19,6 +19,8 @@ Two slope quantities control exponential growth/decay along depth:
 
 and each maps to a depth scale xi = |1 / ln chi|, infinite at chi = 1.
 
+Moments come from `moments`, on a fixed 64-node rule where one is needed.
+
 Fixed points are found by damped direct iteration; the maps are smooth
 contractions in the regimes of interest and a 0.5 damping step handles the
 oscillatory side.  Divergent length maps (e.g. linear networks with
@@ -35,7 +37,6 @@ import numpy as np
 from .activations import Activation
 from .errors import ConfigError, DegenerateStateError, EvaluationError, NonConvergenceError, NonExponentialDecayError
 from .moments import dphi_cross, dphi_sq, phi_cross, phi_sq
-from .quadrature import QuadratureRule
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
@@ -92,18 +93,17 @@ class DepthScales:
     xi2: float
 
 
-def q_step(q: float, p: MeanFieldParams, a: Activation, rule: QuadratureRule) -> float:
+def q_step(q: float, p: MeanFieldParams, a: Activation) -> float:
     """One application of the squared-length map."""
     q = float(q)
     if not np.isfinite(q) or q < 0.0:
         raise ConfigError(f"q must be finite and >= 0, got {q!r}")
-    return (p.sigma_w_sq / p.rho) * phi_sq(a, q, rule) + p.sigma_b_sq
+    return (p.sigma_w_sq / p.rho) * phi_sq(a, q) + p.sigma_b_sq
 
 
 def q_fixed_point(
     p: MeanFieldParams,
     a: Activation,
-    rule: QuadratureRule,
     q0: float = 1.0,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -121,7 +121,7 @@ def q_fixed_point(
     prev_delta = 0.0
     damping = 1.0
     for it in range(1, max_iter + 1):
-        q_next = q_step(q, p, a, rule)
+        q_next = q_step(q, p, a)
         delta = q_next - q
         if abs(delta) < tol:
             return q_next, it
@@ -144,11 +144,11 @@ def q_fixed_point(
     )
 
 
-def c_step(s: LengthState, p: MeanFieldParams, a: Activation, rule: QuadratureRule) -> LengthState:
+def c_step(s: LengthState, p: MeanFieldParams, a: Activation) -> LengthState:
     """Advance the joint (q_aa, q_bb, c_ab) state by one layer."""
-    q_aa = q_step(s.q_aa, p, a, rule)
-    q_bb = q_step(s.q_bb, p, a, rule)
-    q_ab = p.sigma_w_sq * phi_cross(a, s.q_aa, s.q_bb, s.c_ab, rule) + p.sigma_b_sq
+    q_aa = q_step(s.q_aa, p, a)
+    q_bb = q_step(s.q_bb, p, a)
+    q_ab = p.sigma_w_sq * phi_cross(a, s.q_aa, s.q_bb, s.c_ab) + p.sigma_b_sq
     denom_sq = q_aa * q_bb
     if denom_sq <= 0.0:
         raise DegenerateStateError(
@@ -161,17 +161,17 @@ def c_step(s: LengthState, p: MeanFieldParams, a: Activation, rule: QuadratureRu
     return LengthState(q_aa=q_aa, q_bb=q_bb, c_ab=c, layer=s.layer + 1)
 
 
-def _c_map_at_fixed_point(p, a, rule, q_star):
+def _c_map_at_fixed_point(p, a, q_star):
     """The one-dimensional correlation map with lengths pinned at q*.
 
     The denominator is q_step(q*) rather than q* itself so that c = 1 is an
     exact fixed point at rho = 1 (numerator and denominator are then the
     same floating-point expression).
     """
-    denom = q_step(q_star, p, a, rule)
+    denom = q_step(q_star, p, a)
 
     def m(c: float) -> float:
-        q_ab = p.sigma_w_sq * phi_cross(a, q_star, q_star, c, rule) + p.sigma_b_sq
+        q_ab = p.sigma_w_sq * phi_cross(a, q_star, q_star, c) + p.sigma_b_sq
         return min(max(q_ab / denom, -1.0), 1.0)
 
     return m
@@ -200,7 +200,6 @@ def _iterate_c_map(m, c0, tol, max_iter):
 def c_fixed_point(
     p: MeanFieldParams,
     a: Activation,
-    rule: QuadratureRule,
     c0: float = 0.9,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -217,23 +216,23 @@ def c_fixed_point(
     if not (-1.0 < c0 < 1.0):
         raise ConfigError(f"c0 must lie in (-1, 1), got {c0!r}")
     try:
-        q_star, _ = q_fixed_point(p, a, rule, q0=q0, tol=tol, max_iter=max_iter)
+        q_star, _ = q_fixed_point(p, a, q0=q0, tol=tol, max_iter=max_iter)
     except NonConvergenceError:
         if not a.positively_homogeneous:
             raise
-        return _c_fixed_point_divergent_lengths(p, a, rule, c0, tol, max_iter, q0)
-    m = _c_map_at_fixed_point(p, a, rule, q_star)
+        return _c_fixed_point_divergent_lengths(p, a, c0, tol, max_iter, q0)
+    m = _c_map_at_fixed_point(p, a, q_star)
     return _iterate_c_map(m, c0, tol, max_iter)
 
 
-def _c_fixed_point_divergent_lengths(p, a, rule, c0, tol, max_iter, q0):
+def _c_fixed_point_divergent_lengths(p, a, c0, tol, max_iter, q0):
     # growing lengths: iterate the joint recursion; c settles while q runs off,
     # so require the c increment to stay below tol for a few consecutive steps
     s = LengthState(q_aa=q0, q_bb=q0, c_ab=c0, layer=0)
     quiet = 0
     for it in range(1, max_iter + 1):
         try:
-            s_next = c_step(s, p, a, rule)
+            s_next = c_step(s, p, a)
         except (OverflowError, FloatingPointError):
             break
         if not (np.isfinite(s_next.q_aa) and s_next.q_aa < 1e280):
@@ -253,22 +252,22 @@ def _c_fixed_point_divergent_lengths(p, a, rule, c0, tol, max_iter, q0):
     )
 
 
-def chi1(q_star: float, p: MeanFieldParams, a: Activation, rule: QuadratureRule) -> float:
+def chi1(q_star: float, p: MeanFieldParams, a: Activation) -> float:
     """Slope of the single-input gradient/length recursion at q*."""
     if q_star < 0.0:
         raise ConfigError(f"q_star must be >= 0, got {q_star!r}")
     if p.sigma_w_sq == 0.0:
         return 0.0
-    return (p.sigma_w_sq / p.rho) * dphi_sq(a, q_star, rule)
+    return (p.sigma_w_sq / p.rho) * dphi_sq(a, q_star)
 
 
-def chi2(q_star: float, c_star: float, p: MeanFieldParams, a: Activation, rule: QuadratureRule) -> float:
+def chi2(q_star: float, c_star: float, p: MeanFieldParams, a: Activation) -> float:
     """Slope of the correlation map at the fixed point (q*, c*)."""
     if abs(c_star) > 1.0:
         raise ConfigError(f"|c_star| must be <= 1, got {c_star!r}")
     if p.sigma_w_sq == 0.0:
         return 0.0
-    return p.sigma_w_sq * dphi_cross(a, q_star, q_star, c_star, rule)
+    return p.sigma_w_sq * dphi_cross(a, q_star, q_star, c_star)
 
 
 def xi_from_chi(chi: float, unit_tol: float = 1e-12) -> float:
@@ -288,7 +287,6 @@ def xi_from_chi(chi: float, unit_tol: float = 1e-12) -> float:
 def chi1_at_fixed_point(
     p: MeanFieldParams,
     a: Activation,
-    rule: QuadratureRule,
     q0: float = 1.0,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -300,18 +298,17 @@ def chi1_at_fixed_point(
     Linear/ReLU networks); any finite q is used there.
     """
     try:
-        q_star, _ = q_fixed_point(p, a, rule, q0=q0, tol=tol, max_iter=max_iter)
+        q_star, _ = q_fixed_point(p, a, q0=q0, tol=tol, max_iter=max_iter)
     except NonConvergenceError:
         if not a.positively_homogeneous:
             raise
         q_star = 1.0
-    return chi1(q_star, p, a, rule)
+    return chi1(q_star, p, a)
 
 
 def depth_scales(
     p: MeanFieldParams,
     a: Activation,
-    rule: QuadratureRule,
     q0: float = 1.0,
     c0: float = 0.9,
     tol: float = DEFAULT_TOL,
@@ -323,13 +320,13 @@ def depth_scales(
     degenerate bivariate moments apply and chi2 = rho*chi1 holds to machine
     precision on the fully correlated side.
     """
-    q_star, _ = q_fixed_point(p, a, rule, q0=q0, tol=tol, max_iter=max_iter)
-    m = _c_map_at_fixed_point(p, a, rule, q_star)
+    q_star, _ = q_fixed_point(p, a, q0=q0, tol=tol, max_iter=max_iter)
+    m = _c_map_at_fixed_point(p, a, q_star)
     c_star, _ = _iterate_c_map(m, c0, tol, max_iter)
     if 1.0 - c_star <= max(10.0 * tol, 1e-9):
         c_star = 1.0
-    x1 = chi1(q_star, p, a, rule)
-    x2 = chi2(q_star, c_star, p, a, rule)
+    x1 = chi1(q_star, p, a)
+    x2 = chi2(q_star, c_star, p, a)
     return DepthScales(
         q_star=q_star,
         c_star=c_star,
@@ -345,7 +342,6 @@ def q_trajectory(
     layers: int,
     p: MeanFieldParams,
     a: Activation,
-    rule: QuadratureRule,
 ) -> np.ndarray:
     """Theory iterates [q^1 .. q^layers] starting from input norm q0.
 
@@ -358,7 +354,7 @@ def q_trajectory(
     out = np.empty(layers)
     out[0] = (p.sigma_w_sq / p.rho) * q0 + p.sigma_b_sq
     for l in range(1, layers):
-        out[l] = q_step(out[l - 1], p, a, rule)
+        out[l] = q_step(out[l - 1], p, a)
     return out
 
 
@@ -368,7 +364,6 @@ def c_trajectory(
     layers: int,
     p: MeanFieldParams,
     a: Activation,
-    rule: QuadratureRule,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Theory iterates (q^l, c^l) for a pair of inputs with common norm q0.
 
@@ -388,7 +383,7 @@ def c_trajectory(
     s = LengthState(q_aa=q1, q_bb=q1, c_ab=min(max(q_ab1 / q1, -1.0), 1.0), layer=1)
     qs[0], cs[0] = s.q_aa, s.c_ab
     for l in range(1, layers):
-        s = c_step(s, p, a, rule)
+        s = c_step(s, p, a)
         qs[l], cs[l] = s.q_aa, s.c_ab
     return qs, cs
 
@@ -396,7 +391,6 @@ def c_trajectory(
 def c_convergence_rate(
     p: MeanFieldParams,
     a: Activation,
-    rule: QuadratureRule,
     c0: float = 0.5,
     layers: int = 200,
     tol: float = DEFAULT_TOL,
@@ -411,8 +405,8 @@ def c_convergence_rate(
     """
     if layers < 10:
         raise ConfigError("layers must be >= 10 for a rate fit")
-    q_star, _ = q_fixed_point(p, a, rule, tol=tol, max_iter=max_iter)
-    m = _c_map_at_fixed_point(p, a, rule, q_star)
+    q_star, _ = q_fixed_point(p, a, tol=tol, max_iter=max_iter)
+    m = _c_map_at_fixed_point(p, a, q_star)
     c_star, _ = _iterate_c_map(m, c0, tol, max_iter)
     cs = np.empty(layers)
     c = float(c0)

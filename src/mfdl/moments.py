@@ -23,8 +23,8 @@ Erf at q >> 1).  This module therefore dispatches per activation:
     (Price's theorem, with a Gauss-Legendre rule in the correlation).
   - Tanh: univariate moments via a scale-adaptive composite Gauss-Legendre
     rule on the saturation variable (exact at any q); bivariate moments via
-    tensor Gauss-Hermite on the supplied rule (accurate for the moderate
-    fixed-point variances this package targets).
+    tensor Gauss-Hermite on a fixed 64-node rule (its error grows with the
+    variance; the README's "Numerical notes" give measured values).
 
 At |c| = 1 every bivariate moment reduces exactly to its univariate
 counterpart, so downstream identities (e.g. the two slope quantities
@@ -45,9 +45,12 @@ from scipy.special import ndtr, owens_t
 
 from .activations import Activation
 from .errors import ConfigError
-from .quadrature import QuadratureRule, expect1, expect2
+from .quadrature import expect1, expect2, make_rule
 
 _SQRT2 = math.sqrt(2.0)
+
+# tensor Gauss-Hermite rule of the bivariate Tanh moments (_gh_cross)
+_GH = make_rule(64)
 
 
 def _check_q(q: float, name: str = "q") -> float:
@@ -235,28 +238,18 @@ def _erf_dcross(qa: float, qb: float, c: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Generic quadrature fallbacks.
+# Tensor Gauss-Hermite fallback (bivariate Tanh).
 # ---------------------------------------------------------------------------
 
 
-def _gh_sq(act: Activation, q: float, rule: QuadratureRule) -> float:
-    s = math.sqrt(q)
-    return expect1(lambda z: act.value_at(s * z) ** 2, rule)
-
-
-def _gh_dsq(act: Activation, q: float, rule: QuadratureRule) -> float:
-    s = math.sqrt(q)
-    return expect1(lambda z: act.derivative_at(s * z) ** 2, rule)
-
-
-def _gh_cross(act, qa: float, qb: float, c: float, rule: QuadratureRule, deriv: bool) -> float:
+def _gh_cross(act, qa: float, qb: float, c: float, deriv: bool) -> float:
     f = act.derivative_at if deriv else act.value_at
     sa, sb = math.sqrt(qa), math.sqrt(qb)
     if abs(c) == 1.0:
         sign = 1.0 if c > 0 else -1.0
-        return expect1(lambda z: f(sa * z) * f(sign * sb * z), rule)
+        return expect1(lambda z: f(sa * z) * f(sign * sb * z), _GH)
     t = math.sqrt(1.0 - c * c)
-    return expect2(lambda z1, z2: f(sa * z1) * f(sb * (c * z1 + t * z2)), c, rule)
+    return expect2(lambda z1, z2: f(sa * z1) * f(sb * (c * z1 + t * z2)), c, _GH)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +257,7 @@ def _gh_cross(act, qa: float, qb: float, c: float, rule: QuadratureRule, deriv: 
 # ---------------------------------------------------------------------------
 
 
-def phi_sq(act: Activation, q: float, rule: QuadratureRule) -> float:
+def phi_sq(act: Activation, q: float) -> float:
     """E[phi(sqrt(q) z)^2] under the standard normal measure."""
     q = _check_q(q)
     if act is Activation.LINEAR:
@@ -278,7 +271,7 @@ def phi_sq(act: Activation, q: float, rule: QuadratureRule) -> float:
     return _tanh_sq(q)
 
 
-def dphi_sq(act: Activation, q: float, rule: QuadratureRule) -> float:
+def dphi_sq(act: Activation, q: float) -> float:
     """E[phi'(sqrt(q) z)^2] under the standard normal measure."""
     q = _check_q(q)
     if act is Activation.LINEAR:
@@ -292,7 +285,7 @@ def dphi_sq(act: Activation, q: float, rule: QuadratureRule) -> float:
     return _tanh_dsq(q)
 
 
-def phi_cross(act: Activation, qa: float, qb: float, c: float, rule: QuadratureRule) -> float:
+def phi_cross(act: Activation, qa: float, qb: float, c: float) -> float:
     """E[phi(u1) phi(u2)] for the correlated pair construction."""
     qa = _check_q(qa, "qa")
     qb = _check_q(qb, "qb")
@@ -300,7 +293,7 @@ def phi_cross(act: Activation, qa: float, qb: float, c: float, rule: QuadratureR
     if qa == 0.0 or qb == 0.0:
         return 0.0  # phi(0) = 0 for every kind
     if abs(c) == 1.0 and qa == qb:
-        return math.copysign(1.0, c) * phi_sq(act, qa, rule)
+        return math.copysign(1.0, c) * phi_sq(act, qa)
     if act is Activation.LINEAR:
         return math.sqrt(qa * qb) * c
     if act is Activation.RELU:
@@ -309,19 +302,19 @@ def phi_cross(act: Activation, qa: float, qb: float, c: float, rule: QuadratureR
         return _erf_cross(qa, qb, c)
     if act is Activation.HARDTANH:
         return _hardtanh_cross(qa, qb, c)
-    return _gh_cross(act, qa, qb, c, rule, deriv=False)
+    return _gh_cross(act, qa, qb, c, deriv=False)
 
 
-def dphi_cross(act: Activation, qa: float, qb: float, c: float, rule: QuadratureRule) -> float:
+def dphi_cross(act: Activation, qa: float, qb: float, c: float) -> float:
     """E[phi'(u1) phi'(u2)] for the correlated pair construction."""
     qa = _check_q(qa, "qa")
     qb = _check_q(qb, "qb")
     c = _check_c(c)
     if abs(c) == 1.0 and qa == qb:
         if c > 0:
-            return dphi_sq(act, qa, rule)
+            return dphi_sq(act, qa)
         # phi'(-u) = phi'(u) for every kind except ReLU, where theta(-u)theta(u) = 0
-        return 0.0 if act is Activation.RELU else dphi_sq(act, qa, rule)
+        return 0.0 if act is Activation.RELU else dphi_sq(act, qa)
     if act is Activation.LINEAR:
         return 1.0
     if act is Activation.RELU:
@@ -330,4 +323,4 @@ def dphi_cross(act: Activation, qa: float, qb: float, c: float, rule: Quadrature
         return _erf_dcross(qa, qb, c)
     if act is Activation.HARDTANH:
         return _hardtanh_dcross(qa, qb, c)
-    return _gh_cross(act, qa, qb, c, rule, deriv=True)
+    return _gh_cross(act, qa, qb, c, deriv=True)

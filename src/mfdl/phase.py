@@ -17,7 +17,6 @@ import numpy as np
 from .activations import Activation
 from .errors import ConfigError, MfdlError
 from .meanfield import MeanFieldParams, chi1_at_fixed_point, depth_scales
-from .quadrature import QuadratureRule
 
 DEFAULT_BOUND_MULTIPLIER = 12.0
 DEFAULT_COMPARISON_MULTIPLIER = 6.0
@@ -50,7 +49,6 @@ def depth_scale_grid(
     grid,
     p_base: MeanFieldParams,
     a: Activation,
-    rule: QuadratureRule,
     bound_multiplier: float = DEFAULT_BOUND_MULTIPLIER,
     comparison_multiplier: float = DEFAULT_COMPARISON_MULTIPLIER,
 ) -> PhaseCurve:
@@ -70,7 +68,7 @@ def depth_scale_grid(
     for i, sw2 in enumerate(grid):
         p = replace(p_base, sigma_w_sq=float(sw2))
         try:
-            d = depth_scales(p, a, rule)
+            d = depth_scales(p, a)
         except MfdlError as exc:
             diags.append(f"sigma_w_sq={sw2:.6g}: {type(exc).__name__}: {exc}")
             continue
@@ -107,7 +105,6 @@ def default_grid(lo: float = 1.0, hi: float = 4.0, points: int = 64, log_spaced:
 def critical_line(
     p_base: MeanFieldParams,
     a: Activation,
-    rule: QuadratureRule,
     bracket: tuple[float, float],
     tol: float = 1e-10,
 ) -> float:
@@ -122,7 +119,7 @@ def critical_line(
         raise ConfigError(f"bracket must satisfy 0 < lo < hi, got {bracket!r}")
 
     def f(sw2: float) -> float:
-        return chi1_at_fixed_point(replace(p_base, sigma_w_sq=sw2), a, rule) - 1.0
+        return chi1_at_fixed_point(replace(p_base, sigma_w_sq=sw2), a) - 1.0
 
     f_lo, f_hi = f(lo), f(hi)
     if not (f_lo < 0.0 < f_hi):
@@ -142,9 +139,8 @@ def critical_line(
 def trainable_length(
     p: MeanFieldParams,
     a: Activation,
-    rule: QuadratureRule,
     bound_multiplier: float = DEFAULT_BOUND_MULTIPLIER,
 ) -> float:
     """min(multiplier*xi1, multiplier*xi2); +inf exactly on a critical point."""
-    d = depth_scales(p, a, rule)
+    d = depth_scales(p, a)
     return min(bound_multiplier * d.xi1, bound_multiplier * d.xi2)

@@ -18,14 +18,13 @@ weights w_i/sqrt(pi), so that sum(weights) = 1 and
 
     E[f(z)] ~= sum_i weights_i f(nodes_i).
 
-Nodes and weights come from deterministic eigenvalue-based algorithms, not
-tables, so arbitrary orders work: the numpy Hermite recurrence up to order
-360 (exact positive weights down to ~1e-300) and the Golub-Welsch
-eigendecomposition of the Jacobi matrix beyond that.  Above order ~370 the
-extreme-node weights are genuinely smaller than the double-precision floor
-(~e^-990 at order 512) and flush to zero; they contribute nothing to any
-finite integrand.  Rules are symmetrized exactly so that nodes come in +-z
-pairs with equal weights.
+Nodes and weights come from the numpy Hermite recurrence, not tables, so
+any order up to 360 works (exact positive weights down to ~1e-300).  Rules
+are symmetrized exactly so that nodes come in +-z pairs with equal weights.
+
+The theory modules do not take a rule: `moments` owns a fixed 64-node rule
+for the one moment family that still needs tensor quadrature (bivariate
+Tanh).
 """
 
 from __future__ import annotations
@@ -34,13 +33,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigError, EvaluationError
 
-MAX_ORDER = 512
-
-DEFAULT_ORDER = 64
+MAX_ORDER = 360
 
 
 @dataclass(frozen=True)
@@ -74,18 +70,11 @@ def make_rule(order: int) -> QuadratureRule:
     if order > MAX_ORDER:
         raise ConfigError(f"quadrature order must be <= {MAX_ORDER}, got {order}")
 
-    if order <= 360:
-        x, w = np.polynomial.hermite.hermgauss(order)
-    else:
-        # Jacobi matrix of the physicists' Hermite recurrence: off-diag sqrt(k/2)
-        off = np.sqrt(np.arange(1, order) / 2.0)
-        x, vecs = eigh_tridiagonal(np.zeros(order), off)
-        w = vecs[0, :] ** 2  # Golub-Welsch: weights from first eigenvector components
-
+    x, w = np.polynomial.hermite.hermgauss(order)
     nodes = x * np.sqrt(2.0)
     weights = w / w.sum()
 
-    # enforce exact +-z symmetry (eigensolver output is symmetric only to fp error)
+    # enforce exact +-z symmetry (the recurrence is symmetric only to fp error)
     nodes = 0.5 * (nodes - nodes[::-1])
     weights = 0.5 * (weights + weights[::-1])
     return QuadratureRule(nodes=nodes, weights=weights, order=int(order))
@@ -126,12 +115,3 @@ def expect2(f: Callable[[float, float], float], c: float, rule: QuadratureRule) 
     shape = (rule.order, rule.order)
     vals = _evaluate(f, np.broadcast_to(z1, shape), np.broadcast_to(z2, shape))
     return float(rule.weights @ vals @ rule.weights)
-
-
-def clamp_correlation(c: float, eps: float = 1e-12) -> float:
-    """Clamp c into [-1+eps, 1-eps] so sqrt(1-c^2) stays well defined.
-
-    The correlation recursions have their attractive fixed point exactly at
-    c = 1, so iterates routinely land on the boundary.
-    """
-    return float(min(max(c, -1.0 + eps), 1.0 - eps))

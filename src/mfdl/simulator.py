@@ -57,7 +57,6 @@ from numpy.random import Generator, SFC64, SeedSequence
 from .activations import Activation
 from .errors import ConfigError, DegenerateStateError
 from .meanfield import MeanFieldParams, q_fixed_point
-from .quadrature import QuadratureRule, make_rule
 
 ROLE_WEIGHTS = 1
 ROLE_BIAS = 2
@@ -375,10 +374,9 @@ def _instance_metrics_many(configs, instance, c0, q0s, metrics):
     return out
 
 
-def default_q0(cfg: NetworkConfig, rule: QuadratureRule | None = None) -> float:
+def default_q0(cfg: NetworkConfig) -> float:
     """Input norm at the length fixed point, so layer statistics start there."""
-    rule = rule or make_rule(64)
-    q_star, _ = q_fixed_point(cfg.params, cfg.activation, rule)
+    q_star, _ = q_fixed_point(cfg.params, cfg.activation)
     return q_star
 
 

@@ -6,8 +6,3 @@ from mfdl.quadrature import make_rule
 @pytest.fixture(scope="session")
 def rule64():
     return make_rule(64)
-
-
-@pytest.fixture(scope="session")
-def rule128():
-    return make_rule(128)

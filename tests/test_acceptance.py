@@ -27,7 +27,6 @@ from mfdl.meanfield import (
     q_trajectory,
 )
 from mfdl.phase import critical_line
-from mfdl.quadrature import make_rule
 from mfdl.simulator import (
     ROLE_MASK_A,
     NetworkConfig,
@@ -38,8 +37,6 @@ from mfdl.simulator import (
     sample_network,
 )
 from mfdl.universality import universality_report
-
-RULE = make_rule(64)
 
 
 def _report(criterion, detail):
@@ -66,7 +63,7 @@ def test_criterion_1_length_map_vs_simulation():
     stats = ensemble_run_many(cfgs, 100, c0=0.9, metrics=("q_aa",), q0s=[1.0] * 6)
     worst_sd, worst_se = 0.0, 0.0
     for (act, p), st in zip(specs, stats):
-        theory = q_trajectory(1.0, 20, p, act, RULE)
+        theory = q_trajectory(1.0, 20, p, act)
         s = st["q_aa"]
         dev = np.abs(s.per_layer_mean - theory)
         worst_sd = max(worst_sd, float(np.max(dev / np.sqrt(s.per_layer_variance))))
@@ -82,10 +79,10 @@ def test_criterion_2_correlation_fixed_point_regimes():
     """c* = 1 only without dropout (ReLU and Erf at sigma_w = 0.9, sigma_b = 0.5)."""
     p_sq = (0.81, 0.25)
     for act in (Activation.RELU, Activation.ERF):
-        c1, _ = c_fixed_point(MeanFieldParams(*p_sq, 1.0), act, RULE)
+        c1, _ = c_fixed_point(MeanFieldParams(*p_sq, 1.0), act)
         assert abs(c1 - 1.0) < 1e-6, act
         for rho in (0.7, 0.4):
-            c, _ = c_fixed_point(MeanFieldParams(*p_sq, rho), act, RULE)
+            c, _ = c_fixed_point(MeanFieldParams(*p_sq, rho), act)
             assert c < 1.0 - 1e-3, (act, rho)
     _report(2, "c* = 1 at rho=1 within 1e-6; c* < 1 - 1e-3 at rho in {0.7, 0.4}")
 
@@ -96,7 +93,7 @@ def _linear_gradient_gate(width, n_instances, depth, seconds_budget):
     cfg = NetworkConfig(depth, width, p, Activation.LINEAR, seed=23)
     st = ensemble_run_many([cfg], n_instances, c0=0.9, metrics=("g_aa",))[0]["g_aa"]
     elapsed = time.perf_counter() - t0
-    d = depth_scales(p, Activation.LINEAR, RULE)
+    d = depth_scales(p, Activation.LINEAR)
     closed = np.array([g_aa_closed(l, depth, p, d.q_star) for l in range(1, depth + 1)])
     within = np.abs(st.per_layer_mean - closed) <= 3.0 * st.per_layer_stderr
     frac = float(np.mean(within))
@@ -144,7 +141,7 @@ def test_criterion_4_single_slope_governs_both_metrics():
     layers = np.arange(lo, hi + 1, dtype=float)
     worst = 0.0
     for (act, sw2, sb2), st in zip(cases, stats):
-        d = depth_scales(MeanFieldParams(sw2, sb2, rho), act, RULE)
+        d = depth_scales(MeanFieldParams(sw2, sb2, rho), act)
         ln_chi1 = math.log(d.chi1)
         for metric in ("g_aa", "g_tilde_ab"):
             slope = np.polyfit(layers, np.log(st[metric].per_layer_mean[lo - 1 : hi]), 1)[0]
@@ -254,9 +251,9 @@ def test_criterion_8_depth_scale_ordering_without_dropout():
     checked = 0
     for sw2 in np.linspace(0.5, 3.5, 32):
         p = MeanFieldParams(float(sw2), 0.05, 1.0)
-        if abs(chi1_at_fixed_point(p, Activation.TANH, RULE) - 1.0) < 0.02:
+        if abs(chi1_at_fixed_point(p, Activation.TANH) - 1.0) < 0.02:
             continue
-        d = depth_scales(p, Activation.TANH, RULE)
+        d = depth_scales(p, Activation.TANH)
         assert d.xi1 <= d.xi2, (sw2, d)
         checked += 1
     assert checked >= 28
@@ -271,7 +268,7 @@ def test_criterion_9_critical_line_analytic_values():
         (Activation.RELU, 1.0, (1.0, 3.0), 2.0),
     ]
     for act, rho, bracket, expected in cases:
-        got = critical_line(MeanFieldParams(bracket[0], 0.05, rho), act, RULE, bracket)
+        got = critical_line(MeanFieldParams(bracket[0], 0.05, rho), act, bracket)
         assert abs(got - expected) < 1e-6, (act, rho, got)
     _report(9, "critical weight variances 1.0 / 0.5 / 2.0 recovered to 1e-6")
 

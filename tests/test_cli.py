@@ -9,6 +9,8 @@ import pytest
 
 from mfdl.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, _fmt, main
 
+RECIPES = ["lengthmap", "gradsim", "universality", "phase", "critical-line", "fixed-point"]
+
 
 def _write_cfg(tmp_path, name, payload):
     path = tmp_path / name
@@ -139,6 +141,14 @@ class TestGradsim:
         i_err = cols.index("g_aa_stderr")
         assert all(r[i_err] == "" for r in rows)
 
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_nonpositive_instances_is_usage_error(self, tmp_path, capsys, instances):
+        cfg = _write_cfg(tmp_path, "c.json", {"depth": 3, "width": 8})
+        rc = main(["gradsim", "--config", cfg, "--out", str(tmp_path), "--instances", instances])
+        assert rc == EXIT_USAGE
+        assert "instances must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "gradsim.csv").exists()
+
 
 class TestUniversalityCmd:
     def test_small_run(self, tmp_path, capsys):
@@ -159,6 +169,18 @@ class TestUniversalityCmd:
     def test_empty_rows_is_usage_error(self, tmp_path):
         cfg = _write_cfg(tmp_path, "c.json", {"rows": []})
         assert main(["universality", "--config", cfg, "--out", str(tmp_path)]) == EXIT_USAGE
+
+    def test_single_instance_is_usage_error(self, tmp_path, capsys):
+        """A variance fit needs at least two instances per row."""
+        cfg = _write_cfg(
+            tmp_path,
+            "c.json",
+            {"rows": [{"activation": "linear", "rho": 1.0, "width": 8}],
+             "depth": 4, "instances": 1},
+        )
+        assert main(["universality", "--config", cfg, "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "instances >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "universality_fits.csv").exists()
 
 
 class TestPhaseCmd:
@@ -219,7 +241,9 @@ class TestRecipeFields:
          ("critical-line", "seed"), ("critical-line", "threads"),
          ("critical-line", "out"), ("critical-line", "header_timestamp"),
          ("fixed-point", "seed"), ("fixed-point", "threads"),
-         ("fixed-point", "out"), ("fixed-point", "header_timestamp")],
+         ("fixed-point", "out"), ("fixed-point", "header_timestamp"),
+         # the quadrature rule is fixed inside the moments module
+         *[(command, "quad_order") for command in RECIPES]],
     )
     def test_unused_field_rejected(self, tmp_path, command, field):
         cfg = _write_cfg(tmp_path, "c.json", {field: 1})
@@ -237,6 +261,10 @@ class TestRecipeFields:
         config = json.loads(capsys.readouterr().out)["config"]
         assert not {"seed", "threads", "out", "header_timestamp"} & set(config)
         assert not (tmp_path / "unused").exists()
+
+    @pytest.mark.parametrize("command", RECIPES)
+    def test_quad_order_flag_rejected(self, tmp_path, command):
+        assert main([command, "--quad-order", "64", "--out", str(tmp_path)]) == EXIT_USAGE
 
     def test_malformed_value_is_usage_error(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "c.json", {"depth": "abc"})

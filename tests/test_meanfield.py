@@ -45,169 +45,169 @@ class TestParams:
 
 
 class TestQStep:
-    def test_affine_fixed_point(self, rule64):
+    def test_affine_fixed_point(self):
         """Linear map q' = 0.5 q + 1.5 leaves q = 3 fixed."""
         p = MeanFieldParams(0.5, 1.5, 1.0)
-        assert q_step(3.0, p, Activation.LINEAR, rule64) == pytest.approx(3.0, abs=1e-14)
+        assert q_step(3.0, p, Activation.LINEAR) == pytest.approx(3.0, abs=1e-14)
 
-    def test_identity_map(self, rule64):
+    def test_identity_map(self):
         p = MeanFieldParams(1.0, 0.0, 1.0)
         for q in (0.2, 1.0, 7.5):
-            assert q_step(q, p, Activation.LINEAR, rule64) == pytest.approx(q, rel=1e-14)
+            assert q_step(q, p, Activation.LINEAR) == pytest.approx(q, rel=1e-14)
 
-    def test_relu_halving(self, rule64):
+    def test_relu_halving(self):
         p = MeanFieldParams(2.0, 0.0, 1.0)
-        assert q_step(1.0, p, Activation.RELU, rule64) == pytest.approx(1.0, abs=1e-14)
+        assert q_step(1.0, p, Activation.RELU) == pytest.approx(1.0, abs=1e-14)
 
-    def test_result_at_least_bias(self, rule64):
+    def test_result_at_least_bias(self):
         for act in Activation:
             p = MeanFieldParams(0.9, 0.7, 0.6)
-            assert q_step(2.0, p, act, rule64) >= 0.7
+            assert q_step(2.0, p, act) >= 0.7
 
-    def test_negative_q_rejected(self, rule64):
+    def test_negative_q_rejected(self):
         with pytest.raises(ConfigError):
-            q_step(-1.0, MeanFieldParams(1.0, 0.0, 1.0), Activation.TANH, rule64)
+            q_step(-1.0, MeanFieldParams(1.0, 0.0, 1.0), Activation.TANH)
 
 
 class TestQFixedPoint:
-    def test_linear_geometric(self, rule64):
-        q, _ = q_fixed_point(MeanFieldParams(0.5, 1.5, 1.0), Activation.LINEAR, rule64)
+    def test_linear_geometric(self):
+        q, _ = q_fixed_point(MeanFieldParams(0.5, 1.5, 1.0), Activation.LINEAR)
         assert q == pytest.approx(3.0, abs=1e-9)
 
-    def test_linear_with_dropout(self, rule64):
-        q, _ = q_fixed_point(MeanFieldParams(0.25, 1.0, 0.5), Activation.LINEAR, rule64)
+    def test_linear_with_dropout(self):
+        q, _ = q_fixed_point(MeanFieldParams(0.25, 1.0, 0.5), Activation.LINEAR)
         assert q == pytest.approx(2.0, abs=1e-9)
 
-    def test_constant_map_converges_immediately(self, rule64):
+    def test_constant_map_converges_immediately(self):
         p = MeanFieldParams(0.0, 2.25, 1.0)
-        q, its = q_fixed_point(p, Activation.LINEAR, rule64, q0=2.25)
+        q, its = q_fixed_point(p, Activation.LINEAR, q0=2.25)
         assert q == 2.25 and its == 1
 
-    def test_divergent_regime_reported(self, rule64):
+    def test_divergent_regime_reported(self):
         with pytest.raises(NonConvergenceError) as err:
-            q_fixed_point(MeanFieldParams(1.5, 0.5, 1.0), Activation.LINEAR, rule64)
+            q_fixed_point(MeanFieldParams(1.5, 0.5, 1.0), Activation.LINEAR)
         assert err.value.last_iterate > 0
 
-    def test_start_independence(self, rule64):
+    def test_start_independence(self):
         """Converged q* does not depend on q0 (within 10x the tolerance)."""
         tol = 1e-12
         for act in (Activation.TANH, Activation.RELU, Activation.ERF):
             p = MeanFieldParams(1.2, 0.3, 0.8)
             vals = [
-                q_fixed_point(p, act, rule64, q0=q0, tol=tol)[0] for q0 in (0.1, 1.0, 10.0)
+                q_fixed_point(p, act, q0=q0, tol=tol)[0] for q0 in (0.1, 1.0, 10.0)
             ]
             assert max(vals) - min(vals) < 10 * tol
 
 
 class TestCStep:
-    def test_fully_correlated_fixed_at_rho_one(self, rule64):
+    def test_fully_correlated_fixed_at_rho_one(self):
         """c = 1 stays fixed at rho = 1 once the lengths sit at q*."""
         for act in Activation:
             p = MeanFieldParams(0.8, 0.4, 1.0)  # convergent for every kind
-            q_star, _ = q_fixed_point(p, act, rule64)
+            q_star, _ = q_fixed_point(p, act)
             s = LengthState(q_aa=q_star, q_bb=q_star, c_ab=1.0)
-            out = c_step(s, p, act, rule64)
+            out = c_step(s, p, act)
             assert abs(out.c_ab - 1.0) < 1e-8
             assert out.layer == 1
 
-    def test_linear_identity_on_c(self, rule64):
+    def test_linear_identity_on_c(self):
         p = MeanFieldParams(1.0, 0.0, 1.0)
         s = LengthState(q_aa=2.0, q_bb=2.0, c_ab=0.37)
-        assert c_step(s, p, Activation.LINEAR, rule64).c_ab == pytest.approx(0.37, abs=1e-14)
+        assert c_step(s, p, Activation.LINEAR).c_ab == pytest.approx(0.37, abs=1e-14)
 
-    def test_dropout_decorrelates_relu(self, rule64):
+    def test_dropout_decorrelates_relu(self):
         p = MeanFieldParams(0.9, 0.5, 0.7)
-        q_star, _ = q_fixed_point(p, Activation.RELU, rule64)
+        q_star, _ = q_fixed_point(p, Activation.RELU)
         s = LengthState(q_aa=q_star, q_bb=q_star, c_ab=0.9)
         cs = []
         for _ in range(200):
-            s = c_step(s, p, Activation.RELU, rule64)
+            s = c_step(s, p, Activation.RELU)
             cs.append(s.c_ab)
         assert cs[-1] < 1.0 - 1e-3
         assert abs(cs[-1] - cs[-2]) < 1e-10  # converged
 
-    def test_c_stays_in_range(self, rule64):
+    def test_c_stays_in_range(self):
         for act in Activation:
             s = LengthState(q_aa=0.5, q_bb=3.0, c_ab=-0.8)
             p = MeanFieldParams(1.5, 0.1, 0.9)
             for _ in range(50):
-                s = c_step(s, p, act, rule64)
+                s = c_step(s, p, act)
                 assert abs(s.c_ab) <= 1.0
 
-    def test_degenerate_state_rejected(self, rule64):
+    def test_degenerate_state_rejected(self):
         p = MeanFieldParams(0.0, 0.0, 1.0)  # q' = 0 identically
         s = LengthState(q_aa=1.0, q_bb=1.0, c_ab=0.5)
         from mfdl.errors import DegenerateStateError
 
         with pytest.raises(DegenerateStateError):
-            c_step(s, p, Activation.TANH, rule64)
+            c_step(s, p, Activation.TANH)
 
 
 class TestCFixedPoint:
-    def test_ordered_tanh_fully_correlates(self, rule64):
+    def test_ordered_tanh_fully_correlates(self):
         p = MeanFieldParams(1.4, 0.1, 1.0)
-        q_star, _ = q_fixed_point(p, Activation.TANH, rule64)
-        assert chi1(q_star, p, Activation.TANH, rule64) < 1.0  # ordered side
-        c_star, _ = c_fixed_point(p, Activation.TANH, rule64)
+        q_star, _ = q_fixed_point(p, Activation.TANH)
+        assert chi1(q_star, p, Activation.TANH) < 1.0  # ordered side
+        c_star, _ = c_fixed_point(p, Activation.TANH)
         assert abs(c_star - 1.0) < 1e-9
 
     @pytest.mark.parametrize("act", [Activation.RELU, Activation.ERF, Activation.TANH])
-    def test_dropout_gives_partial_correlation(self, act, rule64):
+    def test_dropout_gives_partial_correlation(self, act):
         p = MeanFieldParams(0.81, 0.25, 0.7)
-        c_star, _ = c_fixed_point(p, act, rule64)
+        c_star, _ = c_fixed_point(p, act)
         assert c_star < 1.0 - 1e-3
 
-    def test_identity_map_reports_start(self, rule64):
+    def test_identity_map_reports_start(self):
         p = MeanFieldParams(1.0, 0.0, 1.0)
-        c_star, its = c_fixed_point(p, Activation.LINEAR, rule64, c0=0.42)
+        c_star, its = c_fixed_point(p, Activation.LINEAR, c0=0.42)
         assert c_star == 0.42 and its == 1
 
-    def test_divergent_lengths_homogeneous_fallback(self, rule64):
+    def test_divergent_lengths_homogeneous_fallback(self):
         """ReLU with sigma_w^2/(2 rho) > 1 has no q* but a scale-free c*."""
         p = MeanFieldParams(0.81, 0.25, 0.4)
         with pytest.raises(NonConvergenceError):
-            q_fixed_point(p, Activation.RELU, rule64)
-        c_star, _ = c_fixed_point(p, Activation.RELU, rule64)
+            q_fixed_point(p, Activation.RELU)
+        c_star, _ = c_fixed_point(p, Activation.RELU)
         assert 0.0 < c_star < 1.0 - 1e-3
 
-    def test_invalid_c0(self, rule64):
+    def test_invalid_c0(self):
         with pytest.raises(ConfigError):
-            c_fixed_point(MeanFieldParams(1.0, 0.1, 1.0), Activation.TANH, rule64, c0=1.0)
+            c_fixed_point(MeanFieldParams(1.0, 0.1, 1.0), Activation.TANH, c0=1.0)
 
 
 class TestChi:
-    def test_linear_chi1(self, rule64):
+    def test_linear_chi1(self):
         p = MeanFieldParams(0.8, 0.3, 0.5)
-        assert chi1(1.7, p, Activation.LINEAR, rule64) == pytest.approx(1.6, abs=1e-14)
+        assert chi1(1.7, p, Activation.LINEAR) == pytest.approx(1.6, abs=1e-14)
 
-    def test_relu_chi1(self, rule64):
+    def test_relu_chi1(self):
         p = MeanFieldParams(2.0, 0.0, 1.0)
-        assert chi1(0.9, p, Activation.RELU, rule64) == pytest.approx(1.0, abs=1e-14)
+        assert chi1(0.9, p, Activation.RELU) == pytest.approx(1.0, abs=1e-14)
 
-    def test_zero_weight_variance(self, rule64):
+    def test_zero_weight_variance(self):
         p = MeanFieldParams(0.0, 0.3, 1.0)
-        assert chi1(0.3, p, Activation.TANH, rule64) == 0.0
-        assert chi2(0.3, 0.5, p, Activation.TANH, rule64) == 0.0
+        assert chi1(0.3, p, Activation.TANH) == 0.0
+        assert chi2(0.3, 0.5, p, Activation.TANH) == 0.0
 
-    def test_chi2_fully_correlated_ties_chi1(self, rule64):
+    def test_chi2_fully_correlated_ties_chi1(self):
         """At c* = 1 and rho = 1 the two slopes coincide exactly."""
         for act in Activation:
             p = MeanFieldParams(0.9, 0.2, 1.0)  # convergent for every kind
-            q_star, _ = q_fixed_point(p, act, rule64)
-            assert chi2(q_star, 1.0, p, act, rule64) == chi1(q_star, p, act, rule64)
+            q_star, _ = q_fixed_point(p, act)
+            assert chi2(q_star, 1.0, p, act) == chi1(q_star, p, act)
 
-    def test_chi2_linear_any_c(self, rule64):
+    def test_chi2_linear_any_c(self):
         p = MeanFieldParams(0.7, 0.1, 0.9)
         for c in (-0.5, 0.0, 0.8):
-            assert chi2(2.0, c, p, Activation.LINEAR, rule64) == pytest.approx(0.7, abs=1e-14)
+            assert chi2(2.0, c, p, Activation.LINEAR) == pytest.approx(0.7, abs=1e-14)
 
-    def test_chi1_monotone_in_weight_variance(self, rule64):
+    def test_chi1_monotone_in_weight_variance(self):
         """chi1 grows with sigma_w^2 (q* re-solved at each point)."""
         for act in (Activation.TANH, Activation.ERF, Activation.HARDTANH):
             vals = []
             for sw2 in np.linspace(0.5, 3.0, 8):
                 p = MeanFieldParams(sw2, 0.1, 1.0)
-                vals.append(chi1_at_fixed_point(p, act, rule64))
+                vals.append(chi1_at_fixed_point(p, act))
             assert np.all(np.diff(vals) > -1e-12)
 
 
@@ -219,79 +219,79 @@ class TestDepthScales:
         assert xi_from_chi(0.0) == 0.0
         assert xi_from_chi(-0.5) == xi_from_chi(0.5)
 
-    def test_linear_example(self, rule64):
-        d = depth_scales(MeanFieldParams(0.5, 1.5, 1.0), Activation.LINEAR, rule64)
+    def test_linear_example(self):
+        d = depth_scales(MeanFieldParams(0.5, 1.5, 1.0), Activation.LINEAR)
         assert d.xi1 == pytest.approx(1.0 / math.log(2.0), rel=1e-9)
         assert d.q_star == pytest.approx(3.0, abs=1e-9)
         assert d.c_star == 1.0
 
-    def test_xi1_le_xi2_without_dropout(self, rule64):
+    def test_xi1_le_xi2_without_dropout(self):
         """Across a tanh grid at rho = 1 the single-input scale never
         exceeds the pair scale (exact ties on the fully correlated side)."""
         for sb2 in (0.05, 0.5):
             for sw2 in np.linspace(0.5, 3.0, 8):
-                d = depth_scales(MeanFieldParams(sw2, sb2, 1.0), Activation.TANH, rule64)
+                d = depth_scales(MeanFieldParams(sw2, sb2, 1.0), Activation.TANH)
                 if math.isinf(d.xi1) and math.isinf(d.xi2):
                     continue
                 assert d.xi1 <= d.xi2, (sw2, sb2, d)
 
-    def test_propagates_divergence(self, rule64):
+    def test_propagates_divergence(self):
         with pytest.raises(NonConvergenceError):
-            depth_scales(MeanFieldParams(1.2, 0.3, 1.0), Activation.LINEAR, rule64)
+            depth_scales(MeanFieldParams(1.2, 0.3, 1.0), Activation.LINEAR)
 
 
 class TestTrajectories:
-    def test_q_first_step_is_linear_in_input(self, rule64):
+    def test_q_first_step_is_linear_in_input(self):
         """The raw input enters the first layer without an activation."""
         p = MeanFieldParams(6.25, 0.25, 0.7)
-        traj = q_trajectory(1.0, 5, p, Activation.TANH, rule64)
+        traj = q_trajectory(1.0, 5, p, Activation.TANH)
         assert traj[0] == pytest.approx(6.25 / 0.7 + 0.25, rel=1e-14)
-        assert traj[1] == pytest.approx(q_step(traj[0], p, Activation.TANH, rule64), rel=1e-14)
+        assert traj[1] == pytest.approx(q_step(traj[0], p, Activation.TANH), rel=1e-14)
 
-    def test_q_converges_to_fixed_point(self, rule64):
+    def test_q_converges_to_fixed_point(self):
         p = MeanFieldParams(0.25, 2.25, 0.4)
-        traj = q_trajectory(1.0, 60, p, Activation.LINEAR, rule64)
-        q_star, _ = q_fixed_point(p, Activation.LINEAR, rule64)
+        traj = q_trajectory(1.0, 60, p, Activation.LINEAR)
+        q_star, _ = q_fixed_point(p, Activation.LINEAR)
         assert traj[-1] == pytest.approx(q_star, rel=1e-10)
 
-    def test_c_trajectory_first_step(self, rule64):
+    def test_c_trajectory_first_step(self):
         p = MeanFieldParams(0.81, 0.25, 0.7)
-        qs, cs = c_trajectory(2.0, 0.5, 4, p, Activation.ERF, rule64)
+        qs, cs = c_trajectory(2.0, 0.5, 4, p, Activation.ERF)
         q1 = 0.81 / 0.7 * 2.0 + 0.25
         c1 = (0.81 * 0.5 * 2.0 + 0.25) / q1
         assert qs[0] == pytest.approx(q1, rel=1e-14)
         assert cs[0] == pytest.approx(c1, rel=1e-14)
 
-    def test_c_trajectory_converges_to_c_star(self, rule64):
+    def test_c_trajectory_converges_to_c_star(self):
         p = MeanFieldParams(0.81, 0.25, 0.7)
-        _, cs = c_trajectory(1.0, 0.5, 300, p, Activation.ERF, rule64)
-        c_star, _ = c_fixed_point(p, Activation.ERF, rule64)
+        _, cs = c_trajectory(1.0, 0.5, 300, p, Activation.ERF)
+        c_star, _ = c_fixed_point(p, Activation.ERF)
         assert cs[-1] == pytest.approx(c_star, abs=1e-8)
 
 
 class TestConvergenceRate:
-    def test_linear_rate_matches_xi2(self, rule64):
+    def test_linear_rate_matches_xi2(self):
         """For an affine correlation map the contraction factor is exactly
         chi2, so the fitted scale matches |1/ln chi2| to high accuracy."""
         p = MeanFieldParams(0.5, 0.5, 1.0)
-        d = depth_scales(p, Activation.LINEAR, rule64)
-        rate = c_convergence_rate(p, Activation.LINEAR, rule64, c0=0.3, layers=40)
+        d = depth_scales(p, Activation.LINEAR)
+        rate = c_convergence_rate(p, Activation.LINEAR, c0=0.3, layers=40)
         assert rate == pytest.approx(d.xi2, rel=0.02)
 
-    def test_tanh_rate_matches_xi2(self, rule64):
+    def test_tanh_rate_matches_xi2(self):
         p = MeanFieldParams(1.4, 0.1, 1.0)
-        d = depth_scales(p, Activation.TANH, rule64)
-        rate = c_convergence_rate(p, Activation.TANH, rule64, c0=0.5, layers=200)
+        d = depth_scales(p, Activation.TANH)
+        rate = c_convergence_rate(p, Activation.TANH, c0=0.5, layers=200)
         assert rate == pytest.approx(d.xi2, rel=0.05)
 
-    def test_non_decaying_map_rejected(self, rule64):
+    def test_non_decaying_map_rejected(self):
         p = MeanFieldParams(1.0, 0.0, 1.0)  # identity map: chi2 = 1, no decay
         with pytest.raises(NonExponentialDecayError):
-            c_convergence_rate(p, Activation.LINEAR, rule64, c0=0.5, layers=50)
+            c_convergence_rate(p, Activation.LINEAR, c0=0.5, layers=50)
 
 
-def test_depth_scales_is_frozen_bundle(rule64):
-    d = depth_scales(MeanFieldParams(1.4, 0.1, 1.0), Activation.TANH, rule64)
+def test_depth_scales_is_frozen_bundle():
+    d = depth_scales(MeanFieldParams(1.4, 0.1, 1.0), Activation.TANH)
     assert isinstance(d, DepthScales)
     with pytest.raises(AttributeError):
         d.q_star = 0.0

@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from mfdl.activations import Activation
 from mfdl.errors import ConfigError
 from mfdl.moments import bvn_cdf, dphi_cross, dphi_sq, phi_cross, phi_sq
-from mfdl.quadrature import make_rule
 
 _PDF = lambda z: math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
 
@@ -30,40 +29,30 @@ QS = [0.01, 0.25, 1.0, 4.0, 25.0, 100.0]
 class TestUnivariate:
     @pytest.mark.parametrize("act", list(Activation))
     @pytest.mark.parametrize("q", QS)
-    def test_value_moment_vs_adaptive_quadrature(self, act, q, rule64):
-        assert abs(phi_sq(act, q, rule64) - _quad_sq(act, q, False)) < 2e-8
+    def test_value_moment_vs_adaptive_quadrature(self, act, q):
+        assert abs(phi_sq(act, q) - _quad_sq(act, q, False)) < 2e-8
 
     @pytest.mark.parametrize("act", list(Activation))
     @pytest.mark.parametrize("q", QS)
-    def test_derivative_moment_vs_adaptive_quadrature(self, act, q, rule64):
-        assert abs(dphi_sq(act, q, rule64) - _quad_sq(act, q, True)) < 2e-8
+    def test_derivative_moment_vs_adaptive_quadrature(self, act, q):
+        assert abs(dphi_sq(act, q) - _quad_sq(act, q, True)) < 2e-8
 
-    def test_closed_values(self, rule64):
-        assert phi_sq(Activation.LINEAR, 3.7, rule64) == 3.7
-        assert phi_sq(Activation.RELU, 3.0, rule64) == 1.5
-        assert dphi_sq(Activation.RELU, 0.9, rule64) == 0.5
-        assert abs(dphi_sq(Activation.ERF, 1.0, rule64) - 1 / math.sqrt(1 + math.pi)) < 1e-15
-        assert abs(dphi_sq(Activation.HARDTANH, 2.0, rule64) - math.erf(0.5)) < 1e-15
+    def test_closed_values(self):
+        assert phi_sq(Activation.LINEAR, 3.7) == 3.7
+        assert phi_sq(Activation.RELU, 3.0) == 1.5
+        assert dphi_sq(Activation.RELU, 0.9) == 0.5
+        assert abs(dphi_sq(Activation.ERF, 1.0) - 1 / math.sqrt(1 + math.pi)) < 1e-15
+        assert abs(dphi_sq(Activation.HARDTANH, 2.0) - math.erf(0.5)) < 1e-15
 
-    def test_negative_q_rejected(self, rule64):
+    def test_negative_q_rejected(self):
         with pytest.raises(ConfigError):
-            phi_sq(Activation.TANH, -0.1, rule64)
-
-    def test_order_stability(self):
-        """Moments are stable in the rule order (1e-8) over a wide q range;
-        the closed-form and composite-rule backends do not depend on the
-        generic rule at all."""
-        r1, r2 = make_rule(32), make_rule(96)
-        for act in Activation:
-            for q in QS:
-                assert abs(phi_sq(act, q, r1) - phi_sq(act, q, r2)) < 1e-8
-                assert abs(dphi_sq(act, q, r1) - dphi_sq(act, q, r2)) < 1e-8
+            phi_sq(Activation.TANH, -0.1)
 
 
 class TestBivariate:
     @pytest.mark.parametrize("act", list(Activation))
     @pytest.mark.parametrize("qa,qb,c", [(1.0, 1.0, 0.3), (2.0, 0.7, 0.9), (0.5, 0.5, -0.6)])
-    def test_cross_vs_monte_carlo(self, act, qa, qb, c, rule64):
+    def test_cross_vs_monte_carlo(self, act, qa, qb, c):
         rng = np.random.default_rng(123)
         n = 2_000_000
         z1, z2 = rng.standard_normal((2, n))
@@ -73,28 +62,28 @@ class TestBivariate:
         mc_d = np.mean(act.derivative_at(u1) * act.derivative_at(u2))
         sd_v = np.std(act.value_at(u1) * act.value_at(u2)) / math.sqrt(n)
         sd_d = np.std(act.derivative_at(u1) * act.derivative_at(u2)) / math.sqrt(n)
-        assert abs(phi_cross(act, qa, qb, c, rule64) - mc_v) < 6 * sd_v + 1e-5
-        assert abs(dphi_cross(act, qa, qb, c, rule64) - mc_d) < 6 * sd_d + 1e-5
+        assert abs(phi_cross(act, qa, qb, c) - mc_v) < 6 * sd_v + 1e-5
+        assert abs(dphi_cross(act, qa, qb, c) - mc_d) < 6 * sd_d + 1e-5
 
     @pytest.mark.parametrize("act", list(Activation))
-    def test_degenerate_ties_exact(self, act, rule64):
+    def test_degenerate_ties_exact(self, act):
         """|c| = 1 must reduce exactly to the univariate moments so that
         slope identities hold to machine precision at a fully correlated
         fixed point."""
         q = 1.3
-        assert phi_cross(act, q, q, 1.0, rule64) == phi_sq(act, q, rule64)
-        assert phi_cross(act, q, q, -1.0, rule64) == -phi_sq(act, q, rule64)
-        assert dphi_cross(act, q, q, 1.0, rule64) == dphi_sq(act, q, rule64)
-        expected = 0.0 if act is Activation.RELU else dphi_sq(act, q, rule64)
-        assert dphi_cross(act, q, q, -1.0, rule64) == expected
+        assert phi_cross(act, q, q, 1.0) == phi_sq(act, q)
+        assert phi_cross(act, q, q, -1.0) == -phi_sq(act, q)
+        assert dphi_cross(act, q, q, 1.0) == dphi_sq(act, q)
+        expected = 0.0 if act is Activation.RELU else dphi_sq(act, q)
+        assert dphi_cross(act, q, q, -1.0) == expected
 
-    def test_zero_length_gives_zero_cross(self, rule64):
+    def test_zero_length_gives_zero_cross(self):
         for act in Activation:
-            assert phi_cross(act, 0.0, 1.0, 0.5, rule64) == 0.0
+            assert phi_cross(act, 0.0, 1.0, 0.5) == 0.0
 
-    def test_uncorrelated_odd_cross_vanishes(self, rule64):
+    def test_uncorrelated_odd_cross_vanishes(self):
         for act in (Activation.LINEAR, Activation.TANH, Activation.HARDTANH, Activation.ERF):
-            assert abs(phi_cross(act, 1.0, 2.0, 0.0, rule64)) < 1e-14
+            assert abs(phi_cross(act, 1.0, 2.0, 0.0)) < 1e-14
 
 
 class TestBvnCdf:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mfdl.errors import ConfigError, EvaluationError
-from mfdl.quadrature import clamp_correlation, expect1, expect2, make_rule
+from mfdl.quadrature import expect1, expect2, make_rule
 
 
 class TestMakeRule:
@@ -26,15 +26,7 @@ class TestMakeRule:
         assert abs(rule.weights.sum() - 1.0) < 1e-12
         assert np.all(rule.weights > 0.0)
 
-    def test_extreme_order_weights_nonnegative(self):
-        """Above order ~370 the true extreme weights fall below the float64
-        floor (~e^-990 at order 512); they flush to zero, never negative."""
-        rule = make_rule(512)
-        assert abs(rule.weights.sum() - 1.0) < 1e-12
-        assert np.all(rule.weights >= 0.0)
-        assert np.all(rule.weights[200:312] > 0.0)
-
-    @pytest.mark.parametrize("order", [2, 17, 64, 512])
+    @pytest.mark.parametrize("order", [2, 17, 64, 360])
     def test_nodes_increasing_and_symmetric(self, order):
         rule = make_rule(order)
         assert np.all(np.diff(rule.nodes) > 0.0)
@@ -45,7 +37,7 @@ class TestMakeRule:
         rule = make_rule(64)
         assert abs(np.sum(rule.weights * rule.nodes**2) - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("order", [0, 1, -3, 513, 2.5, "64"])
+    @pytest.mark.parametrize("order", [0, 1, -3, 361, 513, 2.5, "64"])
     def test_invalid_orders_rejected(self, order):
         with pytest.raises(ConfigError):
             make_rule(order)
@@ -126,9 +118,3 @@ class TestExpect2:
     def test_invalid_correlation_rejected(self, rule64, c):
         with pytest.raises(ConfigError):
             expect2(lambda z1, z2: 1.0, c, rule64)
-
-
-def test_clamp_correlation():
-    assert clamp_correlation(1.0) == 1.0 - 1e-12
-    assert clamp_correlation(-1.0) == -1.0 + 1e-12
-    assert clamp_correlation(0.25) == 0.25

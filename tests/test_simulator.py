@@ -352,20 +352,18 @@ class TestEnsemble:
         """For linear networks the expected squared length obeys the theory
         recursion exactly at any finite width, making this a sharp check of
         the dropout scaling in the engine."""
-        from mfdl.quadrature import make_rule
-
         p = MeanFieldParams(0.25, 2.25, 0.4)
         cfg = NetworkConfig(4, 64, p, Activation.LINEAR, seed=3)
         st = ensemble_run(cfg, 3000, metrics=("q_aa",), q0=1.0)["q_aa"]
-        th = q_trajectory(1.0, 4, p, Activation.LINEAR, make_rule(32))
+        th = q_trajectory(1.0, 4, p, Activation.LINEAR)
         dev = np.abs(st.per_layer_mean - th) / st.per_layer_stderr
         assert np.all(dev < 4.0), dev
 
-    def test_c_convergence_rate_compatible_with_xi2(self, rule64):
+    def test_c_convergence_rate_compatible_with_xi2(self):
         """Simulated correlations approach c* at a rate compatible with the
         pair depth scale (slope within 15%)."""
         p = MeanFieldParams(0.5, 0.5, 1.0)
-        d = depth_scales(p, Activation.LINEAR, rule64)
+        d = depth_scales(p, Activation.LINEAR)
         cfg = NetworkConfig(8, 500, p, Activation.LINEAR, seed=21)
         st = ensemble_run(cfg, 300, c0=0.2, metrics=("c_ab",), q0=d.q_star)["c_ab"]
         gap = 1.0 - st.per_layer_mean  # c* = 1 here

@@ -1,5 +1,6 @@
-"""Source rules: library modules log instead of printing, and the CLI uses
-only the public names of the other mfdl modules."""
+"""Source rules: library modules log instead of printing, the CLI uses only
+the public names of the other mfdl modules, and the quadrature rule stays
+inside the moments module."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,41 @@ def test_cli_imports_no_private_names():
         if alias.name.startswith("_")
     ]
     assert not private, f"cli.py imports private names {private}"
+
+
+def _imported_modules(tree):
+    """Dotted names of the modules a tree imports, relative ones under 'mfdl'."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:  # relative imports resolve inside the mfdl package
+                base = f"mfdl.{node.module}" if node.module else "mfdl"
+            else:
+                base = node.module
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_only_moments_imports_quadrature():
+    users = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in ("quadrature.py", "moments.py", "__init__.py")
+        and "mfdl.quadrature" in _imported_modules(_tree(path))
+    ]
+    assert not users, f"{users} import mfdl.quadrature; moments owns the quadrature rule"
+
+
+@pytest.mark.parametrize("name", ["meanfield.py", "phase.py", "simulator.py"])
+def test_theory_functions_take_no_rule(name):
+    offenders = [
+        node.name
+        for node in ast.walk(_tree(SRC / name))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in ast.walk(node.args)
+        if isinstance(arg, ast.arg) and arg.arg == "rule"
+    ]
+    assert not offenders, f"{name}: {offenders} take a 'rule' parameter"
