@@ -300,12 +300,11 @@ def cmd_gradsim(cfg: dict) -> dict:
         means = {m: stats[m].per_layer_mean for m in _GRAD_METRICS}
         errs = {m: stats[m].per_layer_stderr for m in _GRAD_METRICS}
     else:
+        # in the ensemble's order, so these are the metrics of its instance 0
         net = sample_network(net_cfg)
         x_a, x_b = sample_inputs(width, q0, c0, net_cfg.seed)
-        means = gradient_metrics(
-            backward(net, forward(net, x_a, ROLE_MASK_A)),
-            backward(net, forward(net, x_b, ROLE_MASK_B)),
-        )
+        t_a, t_b = forward(net, x_a, ROLE_MASK_A), forward(net, x_b, ROLE_MASK_B)
+        means = gradient_metrics(backward(net, t_a), backward(net, t_b))
         errs = {m: [None] * depth for m in _GRAD_METRICS}  # stderr undefined at n=1
 
     d = depth_scales(p, act)

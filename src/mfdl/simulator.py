@@ -13,15 +13,31 @@ and the SAME stored masks:
     delta^l = phi'(z^l) . (p^{l+1}/rho) . (W^{l+1})^T delta^{l+1}
     dE/dW^l_ij = (p^l_j / rho) phi(z^{l-1}_j) delta^l_i
 
-One kernel
-----------
+One kernel, lazily revealed weights
+-----------------------------------
 Every trace runs through one forward loop (_forward_many) and one backward
-loop (_backward_many).  A call takes any number of (config, input, masks)
-jobs of one network instance, generates each layer's weight matrix once per
-pass and multiplies every job's vector by it, one matvec per job.  The
-single-trace API (forward, backward) makes one-job calls; an ensemble
-instance runs both inputs of every config in one call and reduces them
-with gradient_metrics, so the two agree bit for bit by construction.
+loop (_backward_many) over the jobs (input, masks) of one network instance.
+The loops never hold a weight matrix: each layer's standard-normal W is a
+_LazyGaussian that answers the products asked of it, W v going forward and
+W^T delta going backward.  It keeps W Q = Z and W^T P = Y for orthonormal
+bases Q and P of the vectors asked about so far.  Given those, W is
+distributed as
+
+    P Y^T + (I - PP^T) Z Q^T + (I - PP^T) G (I - QQ^T),    G fresh,
+
+so a new product W v is the part Z Q^T v that is already fixed plus
+|v_perp| (P Y^T u + (I - PP^T) g) with u = v_perp / |v_perp| and N fresh
+normals g (Bolthausen's conditioning, arXiv:1201.2891).  Backward products
+go through the SAME weights as the forward ones, exactly in law, at O(N)
+work and memory per product instead of O(N^2).  weight_std(l) / weight(l)
+materialize a full matrix from the conditional law of everything revealed
+so far and pin it; later products use that matrix, so "materialize every
+layer first" is the dense small-N oracle of the same engine.
+
+The single-trace API (forward, backward) makes one-job calls; an ensemble
+instance runs both inputs of a config in one call, so per layer the
+products come in the order forward a, forward b, backward a, backward b,
+as they do for forward(a), forward(b), backward(a), backward(b).
 
 Randomness and reproducibility
 ------------------------------
@@ -32,14 +48,16 @@ spawn-key mechanism driving SFC64.  Hyperparameters (sigma_w, sigma_b, rho,
 activation, input norms) are applied as deterministic transforms of those
 primitives.  Consequences:
 
-  * everything is reproducible bit-for-bit from (seed, instance);
-  * configs sharing (seed, width, depth) consume identical primitives, so a
-    multi-config ensemble can generate each weight matrix once and reuse it
-    across configs -- bit-identical to running the configs separately, at a
-    fraction of the cost (weight generation dominates the runtime);
-  * weight matrices are regenerated from their per-layer stream on the fly
-    in both passes instead of being stored (L*N^2 doubles would not fit in
-    memory at depth-200/width-1000 scale).
+  * a layer's weight stream is created once per NetworkInstance and drawn
+    from in the order its products are asked, so the bits are fixed by
+    (seed, instance) and that order: the same sequence of products gives
+    the same bits;
+  * every config of a multi-config ensemble samples its own networks, so a
+    config's results do not depend on the other configs of the call and
+    equal a separate ensemble_run bit for bit;
+  * a layer keeps two N-vectors per product that revealed a new direction
+    (at most eight for an ensemble instance; N^2 numbers once its weights
+    are materialized), so L*N^2 weights are never stored or generated.
 
 All arithmetic is float64; gradient products across hundreds of layers
 underflow float32.
@@ -97,23 +115,113 @@ class NetworkConfig:
             raise ConfigError(f"width_N must be >= 1, got {self.width_N}")
 
 
+# a product whose vector lies in the span of those already revealed, up to
+# this fraction of its norm, reveals nothing new (relative, so that tiny
+# deltas still draw their fresh part, and v_b = v_a allows rank one)
+_RANK_TOL = 1e-12
+
+
+class _LazyGaussian:
+    """One layer's N x N standard-normal matrix, revealed one product at a time.
+
+    Keeps W Q = Z and W^T P = Y for orthonormal bases Q (input side) and P
+    (output side) of the vectors asked about so far, stored transposed: the
+    rows of _q, _z, _p, _y are the columns of Q, Z, P, Y.  See the module
+    docstring for the conditional law behind matvec, rmatvec and dense.
+    """
+
+    def __init__(self, gen: Generator, n: int):
+        self._gen = gen
+        self._n = n
+        self._q = self._z = self._p = self._y = np.empty((0, n))
+        self._dense: np.ndarray | None = None
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """W v."""
+        if self._dense is not None:
+            return self._dense @ v
+        out, self._q, self._z = self._reveal(v, self._q, self._z, self._p, self._y)
+        return out
+
+    def rmatvec(self, d: np.ndarray) -> np.ndarray:
+        """W^T d."""
+        if self._dense is not None:
+            return self._dense.T @ d
+        out, self._p, self._y = self._reveal(d, self._p, self._y, self._q, self._z)
+        return out
+
+    def _reveal(self, v, basis, image, other, other_image):
+        """The product with v on the side whose revealed pairs are (basis,
+        image), and that side's new (basis, image); other / other_image are
+        the opposite side's.
+
+        v is scaled by a power of two first, exactly, so that its squared
+        norm cannot underflow however small the backpropagated errors get.
+        """
+        exp = math.frexp(float(np.abs(v).max()))[1]
+        v = np.ldexp(v, -exp)
+        coef = basis @ v
+        perp = v - coef @ basis
+        fix = basis @ perp  # a second Gram-Schmidt pass keeps the basis orthonormal
+        perp -= fix @ basis
+        coef += fix
+        out = coef @ image
+        norm = math.sqrt(perp @ perp)
+        if norm <= _RANK_TOL * math.sqrt(v @ v):
+            return np.ldexp(out, exp), basis, image
+        u = perp / norm
+        g = self._gen.standard_normal(self._n)
+        w_u = (other_image @ u) @ other + (g - (other @ g) @ other)
+        out += norm * w_u
+        return (
+            np.ldexp(out, exp),
+            np.concatenate((basis, u[None])),
+            np.concatenate((image, w_u[None])),
+        )
+
+    def dense(self) -> np.ndarray:
+        """The whole matrix, drawn from the law given what is revealed, pinned."""
+        if self._dense is None:
+            q, z, p, y = self._q, self._z, self._p, self._y
+            w = self._gen.standard_normal((self._n, self._n))
+            w -= (w @ q.T) @ q
+            w -= p.T @ (p @ w)
+            w += p.T @ y + (z - (z @ p.T) @ p).T @ q
+            w.flags.writeable = False
+            self._dense = w
+        return self._dense
+
+
 @dataclass(frozen=True)
 class NetworkInstance:
-    """One sampled random network, materialized lazily from its streams.
+    """One sampled random network, revealed lazily from its streams.
 
-    weight(l) and bias(l) regenerate the same arrays on every call; this is
-    the storage contract that lets deep/wide networks run in bounded memory.
+    Each layer's weights are a _LazyGaussian made on first use from the
+    layer's stream and kept for the life of the instance, so the forward
+    and backward passes and weight(l) all see the same weights.  Which bits
+    they get depends on the order of the products asked (module docstring).
     """
 
     config: NetworkConfig
     instance: int = 0
+    _layers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def weight_std(self, layer: int) -> np.ndarray:
-        """Unscaled standard-normal weight matrix of layer `layer` (1-based)."""
+    def _layer(self, layer: int) -> _LazyGaussian:
         if not (1 <= layer <= self.config.depth_L):
             raise ConfigError(f"layer must be in [1, {self.config.depth_L}], got {layer}")
-        n = self.config.width_N
-        return stream(self.config.seed, self.instance, ROLE_WEIGHTS, layer).standard_normal((n, n))
+        lazy = self._layers.get(layer)
+        if lazy is None:
+            gen = stream(self.config.seed, self.instance, ROLE_WEIGHTS, layer)
+            lazy = self._layers[layer] = _LazyGaussian(gen, self.config.width_N)
+        return lazy
+
+    def weight_std(self, layer: int) -> np.ndarray:
+        """Unscaled standard-normal weight matrix of layer `layer` (1-based).
+
+        Materialized from the law given the products revealed so far and
+        pinned: later products and calls use this (read-only) matrix.
+        """
+        return self._layer(layer).dense()
 
     def weight(self, layer: int) -> np.ndarray:
         """W^layer with entries N(0, sigma_w^2/N)."""
@@ -180,6 +288,7 @@ class ForwardTrace:
     x: np.ndarray
     pre_activations: np.ndarray = field(repr=False)  # (L, N)
     masks: np.ndarray = field(repr=False)  # (L, N) bool
+    network: NetworkInstance = field(repr=False, compare=False)  # whose weights it saw
 
 
 @dataclass
@@ -195,6 +304,7 @@ class GradientTrace:
     input_id: str
     deltas: np.ndarray = field(repr=False)  # (L, N)
     input_factors: np.ndarray = field(repr=False)  # (L, N): (p^l/rho) * y^{l-1}
+    network: NetworkInstance = field(repr=False, compare=False)
 
     def weight_grad(self, layer: int) -> np.ndarray:
         if not (1 <= layer <= self.config.depth_L):
@@ -212,53 +322,55 @@ def _input_scale(cfg: NetworkConfig) -> float:
 
 
 def _forward_many(net: NetworkInstance, jobs) -> list[ForwardTrace]:
-    """Forward passes of (config, x, masks, input_id) jobs through net.
+    """Forward passes of (x, masks, input_id) jobs through net.
 
-    Every job's config shares net's (seed, width, depth); each layer's
-    weight matrix is generated once and multiplies each job's input in turn:
-    z = W_std @ ((mask * y) * s_in) + sigma_b * bias_std, where s_in folds
-    sqrt(sigma_w^2/N)/rho into the input so the matrix is never scaled.
+    Layer by layer, each job's input is multiplied by the layer's weights in
+    job order: z = W_std v + sigma_b * bias_std with v = (mask * y) * s_in,
+    where s_in folds sqrt(sigma_w^2/N)/rho into the input so the standard
+    weights are never scaled.
     """
-    L, N = net.config.depth_L, net.config.width_N
+    cfg = net.config
+    L, N = cfg.depth_L, cfg.width_N
+    s_in, sb = _input_scale(cfg), math.sqrt(cfg.params.sigma_b_sq)
     bias_std = net.bias_std_block()
     traces = [
-        ForwardTrace(cfg, net.instance, input_id, x, np.empty((L, N)), masks)
-        for cfg, x, masks, input_id in jobs
+        ForwardTrace(cfg, net.instance, input_id, x, np.empty((L, N)), masks, net)
+        for x, masks, input_id in jobs
     ]
-    scales = [(_input_scale(t.config), math.sqrt(t.config.params.sigma_b_sq)) for t in traces]
     ys = [t.x for t in traces]
     for l in range(1, L + 1):
-        w_std = net.weight_std(l)
-        for k, (t, (s_in, sb)) in enumerate(zip(traces, scales)):
+        w_std = net._layer(l)
+        for k, t in enumerate(traces):
             v = (t.masks[l - 1] * ys[k]) * s_in
-            t.pre_activations[l - 1] = w_std @ v + sb * bias_std[l - 1]
-            ys[k] = t.config.activation.value_at(t.pre_activations[l - 1])
+            t.pre_activations[l - 1] = w_std.matvec(v) + sb * bias_std[l - 1]
+            ys[k] = cfg.activation.value_at(t.pre_activations[l - 1])
     return traces
 
 
 def _backward_many(net: NetworkInstance, traces) -> list[GradientTrace]:
     """Exact backpropagation of E = sum (z^L)^2 for every trace of net.
 
-    Reuses each trace's stored masks and regenerates net's weights from
-    their per-layer streams, once per layer for all traces.
+    Reuses each trace's stored masks and goes back through the weights its
+    forward pass revealed, layer by layer and in trace order.
     """
-    L, N = net.config.depth_L, net.config.width_N
+    cfg = net.config
+    L, N = cfg.depth_L, cfg.width_N
+    s_in, inv_rho = _input_scale(cfg), 1.0 / cfg.params.rho
     grads = [
-        GradientTrace(t.config, t.instance, t.input_id, np.empty((L, N)), np.empty((L, N)))
+        GradientTrace(cfg, net.instance, t.input_id, np.empty((L, N)), np.empty((L, N)), net)
         for t in traces
     ]
-    s_ins = [_input_scale(t.config) for t in traces]
     for t, g in zip(traces, grads):
         g.deltas[L - 1] = 2.0 * t.pre_activations[L - 1]
-        y, inv_rho = t.x, 1.0 / t.config.params.rho
+        y = t.x
         for l in range(L):
             g.input_factors[l] = (t.masks[l] * y) * inv_rho
-            y = t.config.activation.value_at(t.pre_activations[l])
+            y = cfg.activation.value_at(t.pre_activations[l])
     for l in range(L - 1, 0, -1):
-        w_std = net.weight_std(l + 1)
-        for t, g, s_in in zip(traces, grads, s_ins):
-            back = w_std.T @ g.deltas[l]
-            dphi = t.config.activation.derivative_at(t.pre_activations[l - 1])
+        w_std = net._layer(l + 1)
+        for t, g in zip(traces, grads):
+            back = w_std.rmatvec(g.deltas[l])
+            dphi = cfg.activation.derivative_at(t.pre_activations[l - 1])
             g.deltas[l - 1] = dphi * (t.masks[l] * back) * s_in
     return grads
 
@@ -275,16 +387,18 @@ def forward(net: NetworkInstance, x: np.ndarray, mask_role: int) -> ForwardTrace
         raise ConfigError(f"input must have shape ({cfg.width_N},), got {x.shape}")
     masks = _mask_uniforms(cfg, net.instance, mask_role) < cfg.params.rho
     input_id = {ROLE_MASK_A: "a", ROLE_MASK_B: "b"}.get(mask_role, str(mask_role))
-    return _forward_many(net, [(cfg, x, masks, input_id)])[0]
+    return _forward_many(net, [(x, masks, input_id)])[0]
 
 
 def backward(net: NetworkInstance, trace: ForwardTrace) -> GradientTrace:
     """Exact backpropagation of E = sum (z^L)^2 through the trace's network.
 
-    Reuses the trace's stored masks and regenerates the same weights from
-    their per-layer streams.
+    Reuses the trace's stored masks and the weights its forward pass
+    revealed, so the trace must come from this very NetworkInstance: a
+    second sample_network of the same (config, instance) reveals its own
+    weights.
     """
-    if trace.config != net.config or trace.instance != net.instance:
+    if trace.network is not net:
         raise ConfigError("trace was produced by a different network instance")
     return _backward_many(net, [trace])[0]
 
@@ -296,8 +410,10 @@ def gradient_metrics(ga: GradientTrace, gb: GradientTrace) -> dict[str, np.ndarr
       g_aa       (1/N^2) sum_ij (dE_a/dW_ij)^2
       g_ab       |(1/N^2) sum_ij dE_a/dW_ij * dE_b/dW_ij|
       g_tilde_ab (1/N^2) sum_ij |dE_a/dW_ij * dE_b/dW_ij|
+    All three contract the same way, so g_aa = g_ab = g_tilde_ab exactly
+    when a is b.
     """
-    if ga.config != gb.config or ga.instance != gb.instance:
+    if ga.network is not gb.network:
         raise ConfigError("gradient traces come from different network instances")
     n_sq = float(ga.config.width_N) ** 2
     da, db = ga.deltas, gb.deltas
@@ -305,7 +421,9 @@ def gradient_metrics(ga: GradientTrace, gb: GradientTrace) -> dict[str, np.ndarr
     g_aa = np.einsum("li,li->l", da, da) * np.einsum("li,li->l", va, va) / n_sq
     g_ab = np.abs(np.einsum("li,li->l", da, db) * np.einsum("li,li->l", va, vb)) / n_sq
     g_tilde = (
-        np.einsum("li->l", np.abs(da * db)) * np.einsum("li->l", np.abs(va * vb)) / n_sq
+        np.einsum("li,li->l", np.abs(da), np.abs(db))
+        * np.einsum("li,li->l", np.abs(va), np.abs(vb))
+        / n_sq
     )
     return {"g_aa": g_aa, "g_ab": g_ab, "g_tilde_ab": g_tilde}
 
@@ -334,28 +452,25 @@ def _validate_metrics(metrics) -> tuple[str, ...]:
 def _instance_metrics_many(configs, instance, c0, q0s, metrics):
     """All requested per-layer metrics for one instance of every config.
 
-    Configs share (seed, width, depth): the inputs of every config run
-    through one _forward_many / _backward_many call, so each weight matrix
-    is generated once per pass for all of them.
+    Each config samples its own network, so its results do not depend on
+    the other configs.  Input b runs whenever a metric needs more than the
+    forward pass of input a: its products then come between a's forward
+    and backward ones on every layer, as in the single-trace API.
     """
-    net = sample_network(configs[0], instance)
-    N = net.config.width_N
-    pair = any(m in ("c_ab", "g_ab", "g_tilde_ab") for m in metrics)
+    pair = any(m != "q_aa" for m in metrics)
     roles = (ROLE_MASK_A, ROLE_MASK_B) if pair else (ROLE_MASK_A,)
-    uniforms = [_mask_uniforms(net.config, instance, role) for role in roles]
-    jobs = []
-    for cfg, q0 in zip(configs, q0s):
-        # metrics of input a alone ignore c0; c0 = 1 keeps width 1 valid for them
-        inputs = sample_inputs(N, q0, c0 if pair else 1.0, cfg.seed, instance)
-        jobs += [(cfg, x, u < cfg.params.rho, i) for x, u, i in zip(inputs, uniforms, "ab")]
-    traces = _forward_many(net, jobs)
-    grads = _backward_many(net, traces) if any(m.startswith("g_") for m in metrics) else None
-
-    n_in = len(roles)
     out = []
-    for k in range(len(configs)):
-        a, b = k * n_in, k * n_in + n_in - 1  # without a pair, b is a
-        z_a, z_b = traces[a].pre_activations, traces[b].pre_activations
+    for cfg, q0 in zip(configs, q0s):
+        net = sample_network(cfg, instance)
+        N = cfg.width_N
+        # q_aa alone ignores c0; c0 = 1 keeps width 1 valid for it
+        inputs = sample_inputs(N, q0, c0 if pair else 1.0, cfg.seed, instance)
+        jobs = [
+            (x, _mask_uniforms(cfg, instance, role) < cfg.params.rho, i)
+            for x, role, i in zip(inputs, roles, "ab")
+        ]
+        traces = _forward_many(net, jobs)
+        z_a, z_b = traces[0].pre_activations, traces[-1].pre_activations  # without a pair, b is a
         res = {}
         if "q_aa" in metrics:
             res["q_aa"] = np.einsum("li,li->l", z_a, z_a) / N
@@ -367,8 +482,8 @@ def _instance_metrics_many(configs, instance, c0, q0s, metrics):
             if np.any(denom == 0.0):
                 raise DegenerateStateError("zero-length layer; correlation undefined")
             res["c_ab"] = cross / denom
-        if grads is not None:
-            g = gradient_metrics(grads[a], grads[b])
+        if any(m.startswith("g_") for m in metrics):
+            g = gradient_metrics(*_backward_many(net, traces))
             res.update((m, g[m]) for m in metrics if m in g)
         out.append(res)
     return out
@@ -388,11 +503,11 @@ def ensemble_run_many(
     q0s: list[float] | None = None,
     threads: int = 1,
 ) -> list[dict[str, EnsembleStats]]:
-    """Ensemble statistics for several configs sharing (seed, width, depth).
+    """Ensemble statistics for several configs.
 
-    Weight generation dominates the cost and is shared across configs (see
-    module docstring); results are bit-identical to running each config
-    through ensemble_run separately with the same seed.
+    Every config samples its own networks (see module docstring), so the
+    results are bit-identical to running each config through ensemble_run
+    separately.
     """
     if not configs:
         raise ConfigError("at least one config is required")
@@ -400,12 +515,6 @@ def ensemble_run_many(
         raise ConfigError(f"n_instances must be >= 2, got {n_instances}")
     if abs(c0) > 1.0:
         raise ConfigError(f"|c0| must be <= 1, got {c0!r}")
-    base = configs[0]
-    for cfg in configs[1:]:
-        if (cfg.seed, cfg.width_N, cfg.depth_L) != (base.seed, base.width_N, base.depth_L):
-            raise ConfigError(
-                "shared ensemble requires identical (seed, width_N, depth_L) across configs"
-            )
     names = _validate_metrics(metrics)
     if q0s is None:
         q0s = [default_q0(cfg) for cfg in configs]

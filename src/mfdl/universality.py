@@ -102,10 +102,10 @@ def universality_report(
 ) -> list[UniversalityRow]:
     """Power-law fits of all three gradient metrics for each config.
 
-    configs are (activation, rho, width) triples layered over base_cfg;
-    configs sharing a width also share the base seed and are simulated
-    through one fused ensemble.  A failing config contributes error rows
-    without aborting the others.
+    configs are (activation, rho, width) triples layered over base_cfg and
+    simulated through one ensemble call; each samples its own networks, so
+    its rows do not depend on the others.  A failing config contributes
+    error rows without aborting the others.
     """
     if not configs:
         raise ConfigError("at least one (activation, rho, width) config is required")
@@ -121,35 +121,24 @@ def universality_report(
         )
 
     rows: list[UniversalityRow] = []
-    by_width: dict[int, list[int]] = {}
-    for idx, cfg in enumerate(specs):
-        by_width.setdefault(cfg.width_N, []).append(idx)
+    try:
+        results = ensemble_run_many(
+            specs, n_instances, c0=c0, metrics=GRADIENT_METRICS, threads=threads
+        )
+    except MfdlError:
+        # retry one-by-one so a single divergent config cannot sink the others
+        results = []
+        for cfg in specs:
+            try:
+                results.append(
+                    ensemble_run_many(
+                        [cfg], n_instances, c0=c0, metrics=GRADIENT_METRICS, threads=threads
+                    )[0]
+                )
+            except MfdlError as exc:
+                results.append(f"{type(exc).__name__}: {exc}")
 
-    results: dict[int, dict | str] = {}
-    for width, idxs in by_width.items():
-        group = [specs[i] for i in idxs]
-        try:
-            group_stats = ensemble_run_many(
-                group, n_instances, c0=c0, metrics=GRADIENT_METRICS, threads=threads
-            )
-        except MfdlError as exc:
-            # retry one-by-one so a single divergent config cannot sink its group
-            group_stats = []
-            for cfg in group:
-                try:
-                    group_stats.append(
-                        ensemble_run_many(
-                            [cfg], n_instances, c0=c0, metrics=GRADIENT_METRICS, threads=threads
-                        )[0]
-                    )
-                except MfdlError as inner:
-                    group_stats.append(f"{type(inner).__name__}: {inner}")
-            del exc
-        for i, stats in zip(idxs, group_stats):
-            results[i] = stats
-
-    for idx, (act, rho, width) in enumerate(configs):
-        stats = results[idx]
+    for (act, rho, width), stats in zip(configs, results):
         if isinstance(stats, str):
             for metric in GRADIENT_METRICS:
                 rows.append(

@@ -6,8 +6,8 @@ behind them were spot-checked across seeds while the suite was built.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 PASS lines.  The full desk-scale variant of criterion 3 (width 1000, depth
-200, 100 instances; tens of minutes) is marked `full` and deselected by
-default; opt in with `-m full`.
+200, 100 instances) runs with the rest; on the lazily revealed weights of
+the simulator it takes seconds.
 """
 
 import json
@@ -111,7 +111,6 @@ def test_criterion_3_linear_gradient_theory_reduced_gate():
     _report(3, f"reduced gate: {frac:.1%} of layers within 3 stderr, {elapsed:.0f}s")
 
 
-@pytest.mark.full
 def test_criterion_3_linear_gradient_theory_full():
     """Full desk-scale variant: width 1000, 100 instances, depth 200."""
     frac, elapsed = _linear_gradient_gate(1000, 100, 200, None)

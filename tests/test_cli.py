@@ -141,6 +141,24 @@ class TestGradsim:
         i_err = cols.index("g_aa_stderr")
         assert all(r[i_err] == "" for r in rows)
 
+    def test_single_instance_is_ensemble_instance_zero(self, tmp_path, capsys):
+        """--instances 1 asks its products in the ensemble's order, so it
+        writes the metrics of the ensemble's instance 0."""
+        from mfdl.activations import Activation
+        from mfdl.meanfield import MeanFieldParams
+        from mfdl.simulator import NetworkConfig, _instance_metrics_many
+
+        fields = {"activation": "tanh", "sigma_w_sq": 1.2, "sigma_b_sq": 0.1, "rho": 0.8,
+                  "depth": 5, "width": 16, "instances": 1, "c0": 0.6, "q0": 0.9, "seed": 4}
+        rc = main(["gradsim", "--config", _write_cfg(tmp_path, "c.json", fields),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        _, cols, rows = _read_csv(json.loads(capsys.readouterr().out)["files"][0])
+        cfg = NetworkConfig(5, 16, MeanFieldParams(1.2, 0.1, 0.8), Activation.TANH, seed=4)
+        want = _instance_metrics_many([cfg], 0, 0.6, [0.9], ("g_aa", "g_ab", "g_tilde_ab"))[0]
+        i_col = cols.index("g_aa_mean")
+        assert [r[i_col] for r in rows] == [_fmt(v) for v in want["g_aa"]]
+
     @pytest.mark.parametrize("instances", ["0", "-3"])
     def test_nonpositive_instances_is_usage_error(self, tmp_path, capsys, instances):
         cfg = _write_cfg(tmp_path, "c.json", {"depth": 3, "width": 8})

@@ -201,6 +201,114 @@ class TestBackward:
             assert an == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
 
+class TestLazyWeights:
+    """Products are answered from the conditional law of what is revealed;
+    a materialized weight matrix is drawn from the same law and pinned."""
+
+    @staticmethod
+    def _check(layer, asked):
+        w = layer.dense()
+        for side, v, answer in asked:
+            got = w @ v if side == "f" else w.T @ v
+            assert np.max(np.abs(got - answer)) <= 1e-12 * np.max(np.abs(answer))
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 64])
+    def test_materialized_weights_reproduce_every_product(self, width):
+        rng = np.random.default_rng(width)
+        net = sample_network(_cfg(width=width), 3)
+        layer = net._layer(2)
+        v_a, v_b, d_a, d_b = rng.standard_normal((4, width))
+        steps = [
+            ("f", v_a),
+            ("f", v_a),  # v_b = v_a: the basis stays at rank one
+            ("b", d_a),
+            ("f", -2.5 * v_a + 1e-3 * v_b),
+            ("b", 1e-30 * d_b),  # a tiny delta still reveals a new direction
+            ("b", 3.0 * d_a - d_b),
+            ("f", v_b),
+        ]
+        asked = []
+        for side, v in steps:
+            answer = layer.matvec(v) if side == "f" else layer.rmatvec(v)
+            asked.append((side, v, answer))
+        np.testing.assert_array_equal(asked[1][2], asked[0][2])
+        self._check(layer, asked)
+        # pinned: later products and calls use the materialized matrix
+        w = net.weight_std(2)
+        assert w is net.weight_std(2) and not w.flags.writeable
+        np.testing.assert_array_equal(layer.matvec(v_b), w @ v_b)
+
+    def test_traced_passes_reproduced_by_materialized_network(self):
+        """Forward and backward products of a deep pass, re-done on the
+        weights materialized afterwards."""
+        cfg = _cfg(depth=5, width=12, sw2=1.1, rho=0.6, act=Activation.TANH, seed=3)
+        net = sample_network(cfg, 1)
+        xa, xb = sample_inputs(12, 1.0, 0.4, cfg.seed, 1)
+        ta, tb = forward(net, xa, ROLE_MASK_A), forward(net, xb, ROLE_MASK_B)
+        ga, gb = backward(net, ta), backward(net, tb)
+        s_in = math.sqrt(cfg.params.sigma_w_sq / cfg.width_N) / cfg.params.rho
+        for l in range(1, cfg.depth_L + 1):
+            w = net.weight_std(l)
+            for t, g in ((ta, ga), (tb, gb)):
+                y = t.x if l == 1 else cfg.activation.value_at(t.pre_activations[l - 2])
+                z = w @ ((t.masks[l - 1] * y) * s_in) + net.bias(l)
+                np.testing.assert_allclose(t.pre_activations[l - 1], z, rtol=1e-12, atol=1e-13)
+                if l > 1:
+                    back = w.T @ g.deltas[l - 1]
+                    dphi = cfg.activation.derivative_at(t.pre_activations[l - 2])
+                    np.testing.assert_allclose(
+                        g.deltas[l - 2], dphi * (t.masks[l - 1] * back) * s_in,
+                        rtol=1e-12, atol=1e-13,
+                    )
+
+    def test_backward_needs_the_forward_network(self):
+        """A second sample of the same (config, instance) reveals its own
+        weights, so it cannot backpropagate another sample's trace."""
+        cfg = _cfg()
+        net = sample_network(cfg, 0)
+        x, _ = sample_inputs(cfg.width_N, 1.0, 0.5, cfg.seed)
+        tr = forward(net, x, ROLE_MASK_A)
+        with pytest.raises(ConfigError):
+            backward(sample_network(cfg, 0), tr)
+
+    @pytest.mark.parametrize(
+        "act,sw2,sb2,rho",
+        [(Activation.TANH, 1.5, 0.2, 0.8), (Activation.RELU, 1.6, 0.1, 0.9),
+         (Activation.LINEAR, 0.9, 0.2, 0.7)],
+    )
+    def test_law_matches_materialized_oracle(self, act, sw2, sb2, rho):
+        """Per-layer means of all five metrics, lazy against weights
+        materialized before any product (the dense engine), at N = 16 over
+        400 instances a side on separate seeds: every |z| <= 4 (60
+        layer-metric pairs per case)."""
+        L, N, n = 12, 16, 400
+
+        def metrics(seed, materialize):
+            cfg = NetworkConfig(L, N, MeanFieldParams(sw2, sb2, rho), act, seed=seed)
+            rows = {m: [] for m in METRIC_NAMES}
+            for i in range(n):
+                net = sample_network(cfg, i)
+                if materialize:
+                    for l in range(1, L + 1):
+                        net.weight_std(l)
+                xa, xb = sample_inputs(N, 1.0, 0.5, seed, i)
+                ta, tb = forward(net, xa, ROLE_MASK_A), forward(net, xb, ROLE_MASK_B)
+                za, zb = ta.pre_activations, tb.pre_activations
+                qa, qb = np.einsum("li,li->l", za, za), np.einsum("li,li->l", zb, zb)
+                rows["q_aa"].append(qa / N)
+                rows["c_ab"].append(np.einsum("li,li->l", za, zb) / np.sqrt(qa * qb))
+                for m, v in gradient_metrics(backward(net, ta), backward(net, tb)).items():
+                    rows[m].append(v)
+            return {m: np.stack(v) for m, v in rows.items()}
+
+        lazy, dense = metrics(101, False), metrics(202, True)
+        for m in METRIC_NAMES:
+            a, b = lazy[m], dense[m]
+            se = np.sqrt(a.var(axis=0, ddof=1) / n + b.var(axis=0, ddof=1) / n)
+            z = (a.mean(axis=0) - b.mean(axis=0)) / se
+            assert np.all(np.abs(z) <= 4.0), (m, z)
+
+
 class TestGradientMetrics:
     def _traces(self, cfg, instance=0, c0=0.5):
         net = sample_network(cfg, instance)
@@ -315,15 +423,21 @@ class TestEnsemble:
         np.testing.assert_array_equal(a["c_ab"].per_layer_mean, b["c_ab"].per_layer_mean)
 
     def test_shared_run_equals_separate_runs(self):
-        """Configs sharing a seed draw identical primitives, so the fused
-        multi-config ensemble is bit-identical to separate runs."""
-        base = _cfg(depth=6, width=40, rho=1.0, act=Activation.TANH, seed=99)
-        other = NetworkConfig(6, 40, MeanFieldParams(0.5, 0.1, 0.6), Activation.RELU, seed=99)
-        fused = ensemble_run_many([base, other], 5, metrics=("q_aa", "g_aa", "g_tilde_ab"), q0s=[1.0, 1.0])
-        for cfg, st in zip([base, other], fused):
-            alone = ensemble_run(cfg, 5, metrics=("q_aa", "g_aa", "g_tilde_ab"), q0=1.0)
-            for m in ("q_aa", "g_aa", "g_tilde_ab"):
+        """Every config samples its own networks, so configs of any widths,
+        depths and seeds share one ensemble call and still equal separate
+        runs bit for bit."""
+        cfgs = [
+            _cfg(depth=6, width=40, rho=1.0, act=Activation.TANH, seed=99),
+            NetworkConfig(6, 40, MeanFieldParams(0.5, 0.1, 0.6), Activation.RELU, seed=99),
+            _cfg(depth=4, width=17, sw2=1.3, rho=0.8, act=Activation.ERF, seed=5),
+        ]
+        q0s = [1.0, 0.6, 1.4]
+        fused = ensemble_run_many(cfgs, 4, c0=0.4, metrics=METRIC_NAMES, q0s=q0s)
+        for cfg, q0, st in zip(cfgs, q0s, fused):
+            alone = ensemble_run(cfg, 4, c0=0.4, metrics=METRIC_NAMES, q0=q0)
+            for m in METRIC_NAMES:
                 np.testing.assert_array_equal(st[m].per_layer_mean, alone[m].per_layer_mean)
+                np.testing.assert_array_equal(st[m].per_layer_variance, alone[m].per_layer_variance)
 
     def test_stderr_definition(self):
         cfg = _cfg(depth=3, width=16)
@@ -378,9 +492,5 @@ class TestEnsemble:
             ensemble_run(cfg, 1, metrics=("q_aa",))
         with pytest.raises(ConfigError):
             ensemble_run(cfg, 4, metrics=("bogus",))
-        with pytest.raises(ConfigError):
-            ensemble_run_many(
-                [cfg, NetworkConfig(4, 9, cfg.params, cfg.activation, seed=7)], 4
-            )
         with pytest.raises(ConfigError):
             ensemble_run_many([], 4)
