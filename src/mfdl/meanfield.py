@@ -21,10 +21,13 @@ and each maps to a depth scale xi = |1 / ln chi|, infinite at chi = 1.
 
 Moments come from `moments`, on a fixed 64-node rule where one is needed.
 
-Fixed points are found by damped direct iteration; the maps are smooth
-contractions in the regimes of interest and a 0.5 damping step handles the
-oscillatory side.  Divergent length maps (e.g. linear networks with
-sigma_w^2 >= rho) are reported as errors, not as infinities.
+q* is found by direct iteration of the length map.  c* is found from
+structure plus one bracketed root finder (Brent's method, `brent_root`):
+the correlation map m is nondecreasing, and by Mehler's expansion it is
+convex on [0, 1].  At rho = 1, c = 1 is a fixed point with slope chi1, so
+c* = 1 exactly when chi1 <= 1; every other c* is bracketed and solved to
+`tol`.  Divergent length maps (e.g. linear networks with sigma_w^2 >= rho)
+are reported as errors, not as infinities.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ from .moments import dphi_cross, dphi_sq, phi_cross, phi_sq
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
+
+_EPS = np.finfo(np.float64).eps
 
 _Q_DIVERGENCE_CAP = 1e12
 
@@ -169,6 +174,10 @@ def _c_map_at_fixed_point(p, a, q_star):
     same floating-point expression).
     """
     denom = q_step(q_star, p, a)
+    if denom <= 0.0:
+        raise DegenerateStateError(
+            f"correlation undefined: the length map sends q* = {q_star!r} to {denom!r}"
+        )
 
     def m(c: float) -> float:
         q_ab = p.sigma_w_sq * phi_cross(a, q_star, q_star, c) + p.sigma_b_sq
@@ -177,24 +186,92 @@ def _c_map_at_fixed_point(p, a, q_star):
     return m
 
 
-def _iterate_c_map(m, c0, tol, max_iter):
-    c = float(c0)
-    prev_delta = 0.0
-    damping = 1.0
-    for it in range(1, max_iter + 1):
-        c_next = m(c)
-        delta = c_next - c
-        if abs(delta) < tol:
-            return c_next, it
-        if delta * prev_delta < 0.0:
-            damping = 0.5
-        prev_delta = delta
-        c = c + damping * delta
+def brent_root(f, a, b, fa, fb, tol, max_iter=DEFAULT_MAX_ITER):
+    """Root of f between a and b, given fa = f(a) and fb = f(b) of opposite
+    sign (or one of them 0), by Brent's method.
+
+    Inverse quadratic or secant steps are taken while they shrink the
+    bracket fast enough, bisection otherwise.  Returns (root, evaluations
+    of f); the root lies within tol + 4 eps |root| of a sign change of f.
+    """
+    c, fc = b, fb
+    d = e = b - a
+    for evals in range(max_iter + 1):
+        if (fb > 0.0 and fc > 0.0) or (fb < 0.0 and fc < 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or fb == 0.0:
+            return b, evals
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                num, den = 2.0 * xm * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                t, r = fa / fc, fb / fc
+                num = s * (2.0 * xm * t * (t - r) - (b - a) * (r - 1.0))
+                den = (t - 1.0) * (r - 1.0) * (s - 1.0)
+            if num > 0.0:
+                den = -den
+            num = abs(num)
+            if 2.0 * num < min(3.0 * xm * den - abs(tol1 * den), abs(e * den)):
+                e, d = d, num / den
+            else:
+                d = e = xm
+        else:
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        fb = f(b)
     raise NonConvergenceError(
-        f"correlation map did not converge within {max_iter} iterations (last c = {c!r})",
-        last_iterate=c,
+        f"root finder did not converge within {max_iter} evaluations (last x = {b!r})",
+        last_iterate=b,
         iterations=max_iter,
     )
+
+
+def _solve_c(p, a, q_star, c0, tol, max_iter):
+    """The c* that iterating the correlation map at q* from c0 reaches, and
+    the evaluations of the map spent on it.
+
+    m is nondecreasing (every activation here is), so the iteration moves
+    monotonically from c0 to the first fixed point in the direction
+    s = sign(m(c0) - c0).  g = m - c is convex on [0, 1] (Mehler: m has
+    nonnegative power-series coefficients) and, for odd activations,
+    concave on [-1, 0] (ReLU's m is >= 0, so g has no root there).  So
+    between two of the checkpoints s * (1 - 2^-j) (0, s/2, 3s/4, ..., s) a
+    sign change of g holds exactly one root, and the first sign change
+    past c0 brackets c*.  When the end s is itself a
+    fixed point (c = 1 at rho = 1; c = -1 also for an odd activation
+    without bias) with slope <= 1, no root lies before it: c* = s exactly.
+    """
+    m = _c_map_at_fixed_point(p, a, q_star)
+    m0 = m(c0)
+    if abs(m0 - c0) < tol:
+        return m0, 1
+    s = math.copysign(1.0, m0 - c0)
+    g_end = m(s) - s
+    if g_end == 0.0 and chi2(q_star, s, p, a) <= 1.0:
+        return s, 2
+    lo, g_lo = c0, m0 - c0
+    evals = 2
+    for j in range(54):  # j = 54 gives 1 - 2^-54, which rounds to the end s
+        t = s * (1.0 - 0.5**j)
+        if s * t <= s * c0:
+            continue
+        g_t = m(t) - t
+        evals += 1
+        if s * g_t <= 0.0:
+            break
+        lo, g_lo = t, g_t
+    else:
+        t, g_t = s, g_end
+    root, n = brent_root(lambda c: m(c) - c, lo, t, g_lo, g_t, tol, max_iter)
+    return root, evals + n
 
 
 def c_fixed_point(
@@ -205,11 +282,12 @@ def c_fixed_point(
     max_iter: int = DEFAULT_MAX_ITER,
     q0: float = 1.0,
 ) -> tuple[float, int]:
-    """Fixed point c* of the correlation map.
+    """Fixed point c* of the correlation map, and the map evaluations spent.
 
-    The lengths are first driven to q*; the correlation map is then iterated
-    at fixed q*.  Where the length map diverges but the activation is
-    positively homogeneous (Linear, ReLU), the correlation map still has a
+    The lengths are first driven to q*; c* is then the fixed point of the
+    correlation map at q* that iteration from c0 reaches (see `_solve_c`).
+    Where the length map diverges but the activation is positively
+    homogeneous (Linear, ReLU), the correlation map still has a
     well-defined scale-free limit: in that case the joint recursion is
     iterated directly and convergence is detected on c alone.
     """
@@ -221,8 +299,7 @@ def c_fixed_point(
         if not a.positively_homogeneous:
             raise
         return _c_fixed_point_divergent_lengths(p, a, c0, tol, max_iter, q0)
-    m = _c_map_at_fixed_point(p, a, q_star)
-    return _iterate_c_map(m, c0, tol, max_iter)
+    return _solve_c(p, a, q_star, c0, tol, max_iter)
 
 
 def _c_fixed_point_divergent_lengths(p, a, c0, tol, max_iter, q0):
@@ -294,15 +371,13 @@ def chi1_at_fixed_point(
     """chi1 with q* solved internally.
 
     For positively homogeneous activations phi' is scale invariant, so chi1
-    is well defined even where the length map diverges (the chaotic side of
-    Linear/ReLU networks); any finite q is used there.
+    does not depend on q* and no length solve is made: chi1 is well defined
+    even where the length map diverges (the chaotic side of Linear/ReLU
+    networks).
     """
-    try:
-        q_star, _ = q_fixed_point(p, a, q0=q0, tol=tol, max_iter=max_iter)
-    except NonConvergenceError:
-        if not a.positively_homogeneous:
-            raise
-        q_star = 1.0
+    if a.positively_homogeneous:
+        return chi1(1.0, p, a)
+    q_star, _ = q_fixed_point(p, a, q0=q0, tol=tol, max_iter=max_iter)
     return chi1(q_star, p, a)
 
 
@@ -316,15 +391,12 @@ def depth_scales(
 ) -> DepthScales:
     """Bundle (q*, c*, chi1, chi2, xi1, xi2) for one hyperparameter point.
 
-    c* values within 10*tol of 1 are snapped to exactly 1 so that the
-    degenerate bivariate moments apply and chi2 = rho*chi1 holds to machine
-    precision on the fully correlated side.
+    On the fully correlated side (rho = 1, chi1 <= 1) c* is exactly 1, so
+    the degenerate bivariate moments apply and chi2 = chi1 holds to machine
+    precision.
     """
     q_star, _ = q_fixed_point(p, a, q0=q0, tol=tol, max_iter=max_iter)
-    m = _c_map_at_fixed_point(p, a, q_star)
-    c_star, _ = _iterate_c_map(m, c0, tol, max_iter)
-    if 1.0 - c_star <= max(10.0 * tol, 1e-9):
-        c_star = 1.0
+    c_star, _ = _solve_c(p, a, q_star, c0, tol, max_iter)
     x1 = chi1(q_star, p, a)
     x2 = chi2(q_star, c_star, p, a)
     return DepthScales(
@@ -406,8 +478,8 @@ def c_convergence_rate(
     if layers < 10:
         raise ConfigError("layers must be >= 10 for a rate fit")
     q_star, _ = q_fixed_point(p, a, tol=tol, max_iter=max_iter)
+    c_star, _ = _solve_c(p, a, q_star, c0, tol, max_iter)
     m = _c_map_at_fixed_point(p, a, q_star)
-    c_star, _ = _iterate_c_map(m, c0, tol, max_iter)
     cs = np.empty(layers)
     c = float(c0)
     for l in range(layers):

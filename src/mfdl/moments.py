@@ -20,7 +20,8 @@ Erf at q >> 1).  This module therefore dispatches per activation:
   - HardTanh: closed forms via the normal CDF; the bivariate pair uses the
     rectangle probability of a correlated Gaussian pair (Owen's T), and the
     value cross-moment integrates that rectangle over the correlation
-    (Price's theorem, with a Gauss-Legendre rule in the correlation).
+    (Price's theorem, with a Gauss-Legendre rule in sqrt(1 - |c|), in which
+    the integrand stays smooth up to |c| = 1).
   - Tanh: univariate moments via a scale-adaptive composite Gauss-Legendre
     rule on the saturation variable (exact at any q); bivariate moments via
     tensor Gauss-Hermite on a fixed 64-node rule (its error grows with the
@@ -182,13 +183,18 @@ def _hardtanh_dcross(qa: float, qb: float, c: float) -> float:
 
 def _hardtanh_cross(qa: float, qb: float, c: float) -> float:
     # Price's theorem: d/dc E[phi(u1) phi(u2)] = sqrt(qa*qb) E[phi'(u1) phi'(u2)],
-    # and the cross moment vanishes at c = 0 because phi is odd.
+    # and the cross moment vanishes at c = 0 because phi is odd.  The
+    # rectangle probability is even in the correlation t and has a
+    # sqrt(1 - |t|) cusp at |t| = 1, so the rule runs in u = sqrt(1 - |t|),
+    # where the integrand is smooth.
     alpha = 1.0 / math.sqrt(qa)
     beta = 1.0 / math.sqrt(qb)
-    half = 0.5 * c
-    t = half + half * _GL_CORR_NODES
-    vals = _rectangle_prob(alpha, beta, t)
-    return math.sqrt(qa * qb) * half * float(np.dot(_GL_CORR_WEIGHTS, vals))
+    lo = math.sqrt(1.0 - abs(c))
+    half = 0.5 * (1.0 - lo)
+    u = lo + half * (1.0 + _GL_CORR_NODES)
+    vals = _rectangle_prob(alpha, beta, 1.0 - u * u) * (2.0 * u)
+    integral = math.sqrt(qa * qb) * half * float(np.dot(_GL_CORR_WEIGHTS, vals))
+    return math.copysign(integral, c)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from .activations import Activation
 from .errors import ConfigError, MfdlError
-from .meanfield import MeanFieldParams, chi1_at_fixed_point, depth_scales
+from .meanfield import MeanFieldParams, brent_root, chi1_at_fixed_point, depth_scales
 
 DEFAULT_BOUND_MULTIPLIER = 12.0
 DEFAULT_COMPARISON_MULTIPLIER = 6.0
@@ -108,11 +108,13 @@ def critical_line(
     bracket: tuple[float, float],
     tol: float = 1e-10,
 ) -> float:
-    """Weight variance where chi1 crosses 1, by bisection.
+    """Weight variance where chi1 crosses 1, to within tol.
 
-    The length fixed point is re-solved at every trial point; for
-    positively homogeneous activations chi1 is scale free, so the chaotic
-    side of the bracket is evaluable even where the length map diverges.
+    The root of chi1 - 1 in the bracket is found by Brent's method
+    (`brent_root`).  The length fixed point is re-solved at every trial
+    point; for positively homogeneous activations chi1 is scale free, so no
+    length solve is needed and the chaotic side of the bracket is evaluable
+    even where the length map diverges.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0.0 < lo < hi):
@@ -127,13 +129,7 @@ def critical_line(
             f"bracket does not straddle chi1 = 1: chi1(lo) = {f_lo + 1.0:.6g}, "
             f"chi1(hi) = {f_hi + 1.0:.6g}"
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return brent_root(f, lo, hi, f_lo, f_hi, tol)[0]
 
 
 def trainable_length(

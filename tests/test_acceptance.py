@@ -238,29 +238,22 @@ def test_criterion_7_gradients_match_finite_differences():
 
 
 def test_criterion_8_depth_scale_ordering_without_dropout():
-    """xi1 <= xi2 for Tanh at rho = 1, sigma_b^2 = 0.05 across a 32-point
-    grid sigma_w^2 in [0.5, 3.5], excluding the chi = 1 pole.
-
-    The pole neighborhood is screened on chi1 before solving c*: arbitrarily
-    close to criticality the correlation map contracts arbitrarily slowly,
-    and both depth scales diverge there anyway.
-    """
-    from mfdl.meanfield import chi1_at_fixed_point
-
+    """xi1 <= xi2 for Tanh at rho = 1, sigma_b^2 = 0.05 at every point of a
+    32-point grid sigma_w^2 in [0.5, 3.5], the points next to the chi1 = 1
+    pole included."""
     checked = 0
     for sw2 in np.linspace(0.5, 3.5, 32):
         p = MeanFieldParams(float(sw2), 0.05, 1.0)
-        if abs(chi1_at_fixed_point(p, Activation.TANH) - 1.0) < 0.02:
-            continue
         d = depth_scales(p, Activation.TANH)
         assert d.xi1 <= d.xi2, (sw2, d)
         checked += 1
-    assert checked >= 28
-    _report(8, f"xi1 <= xi2 at all {checked} non-pole grid points")
+    assert checked == 32
+    _report(8, f"xi1 <= xi2 at all {checked} grid points")
 
 
 def test_criterion_9_critical_line_analytic_values():
-    """Bisection recovers the analytic chi1 = 1 crossings to 1e-6."""
+    """The critical-line root finder recovers the analytic chi1 = 1
+    crossings to 1e-6."""
     cases = [
         (Activation.LINEAR, 1.0, (0.5, 2.0), 1.0),
         (Activation.LINEAR, 0.5, (0.2, 1.0), 0.5),

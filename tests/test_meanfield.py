@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mfdl.activations import Activation
 from mfdl.errors import (
     ConfigError,
+    DegenerateStateError,
     NonConvergenceError,
     NonExponentialDecayError,
 )
@@ -15,6 +18,7 @@ from mfdl.meanfield import (
     DepthScales,
     LengthState,
     MeanFieldParams,
+    brent_root,
     c_convergence_rate,
     c_fixed_point,
     c_step,
@@ -28,6 +32,7 @@ from mfdl.meanfield import (
     q_trajectory,
     xi_from_chi,
 )
+from mfdl.moments import phi_cross
 
 
 class TestParams:
@@ -174,6 +179,92 @@ class TestCFixedPoint:
         with pytest.raises(ConfigError):
             c_fixed_point(MeanFieldParams(1.0, 0.1, 1.0), Activation.TANH, c0=1.0)
 
+    def test_pole_point_is_fully_correlated(self):
+        """sigma_w^2 = 1.76 lies 2e-4 below the chi1 = 1 pole, where direct
+        iteration of the correlation map contracts too slowly to finish."""
+        d = depth_scales(MeanFieldParams(1.76, 0.05, 1.0), Activation.TANH)
+        assert d.chi1 < 1.0
+        assert d.c_star == 1.0 and d.chi2 == d.chi1
+
+    def test_zero_length_fixed_point_rejected(self):
+        with pytest.raises(DegenerateStateError):
+            depth_scales(MeanFieldParams(0.0, 0.0, 1.0), Activation.TANH)
+
+
+def _damped_c_iteration(p, act, q_star, c0):
+    """Oracle: c <- c + (m(c) - c) / 2 until the step falls below 1e-14."""
+    denom = q_step(q_star, p, act)
+    c = c0
+    for _ in range(100_000):
+        m = min((p.sigma_w_sq * phi_cross(act, q_star, q_star, c) + p.sigma_b_sq) / denom, 1.0)
+        c_next = c + 0.5 * (m - c)
+        if abs(c_next - c) < 1e-14:
+            return c_next
+        c = c_next
+    raise AssertionError("oracle iteration did not settle")
+
+
+# sigma_w^2 / rho per kind: ordered for every kind, chaotic for the bounded ones
+_ORACLE_WEIGHT_RATIOS = {
+    Activation.LINEAR: (0.5,),
+    Activation.RELU: (1.0,),
+    Activation.TANH: (0.8, 2.5),
+    Activation.ERF: (0.8, 2.5),
+    Activation.HARDTANH: (0.8, 2.5),
+}
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.9, 0.6])
+@pytest.mark.parametrize("c0", [-0.6, 0.3, 0.9])
+@pytest.mark.parametrize("act", list(Activation))
+def test_c_star_matches_damped_direct_iteration(act, rho, c0):
+    for ratio in _ORACLE_WEIGHT_RATIOS[act]:
+        p = MeanFieldParams(ratio * rho, 0.1, rho)
+        q_star, _ = q_fixed_point(p, act)
+        assert abs(chi1(q_star, p, act) - 1.0) > 0.05
+        c_star, _ = c_fixed_point(p, act, c0=c0)
+        assert abs(c_star - _damped_c_iteration(p, act, q_star, c0)) < 1e-9, (p, c_star)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    act=st.sampled_from(list(Activation)),
+    sw2=st.floats(0.05, 4.0),
+    sb2=st.floats(0.01, 1.0),
+    rho=st.one_of(st.just(1.0), st.floats(0.2, 0.99)),
+    c0=st.floats(0.0, 0.99),
+)
+def test_c_star_structure_property(act, sw2, sb2, rho, c0):
+    """At rho = 1 and chi1 < 1, c* is exactly 1; at rho < 1, c* lies in
+    [0, 1) and solves the correlation map to 1e-12.  (Without bias the
+    ordered side has q* = 0, where the correlation map is 0/0.)"""
+    p = MeanFieldParams(sw2, sb2, rho)
+    try:
+        q_star, _ = q_fixed_point(p, act)
+    except NonConvergenceError:
+        assume(False)
+    c_star, _ = c_fixed_point(p, act, c0=c0)
+    if rho == 1.0:
+        if chi1(q_star, p, act) < 1.0:
+            assert c_star == 1.0
+    else:
+        m = (sw2 * phi_cross(act, q_star, q_star, c_star) + sb2) / q_step(q_star, p, act)
+        assert 0.0 <= c_star < 1.0
+        assert abs(m - c_star) <= 1e-12
+
+
+class TestBrentRoot:
+    def test_transcendental_root(self):
+        f = lambda x: math.cos(x) - x
+        root, evals = brent_root(f, 0.0, 1.0, f(0.0), f(1.0), 1e-14)
+        assert abs(f(root)) < 1e-14
+        assert evals < 12  # bisection would need ~47
+
+    def test_zero_at_bracket_end(self):
+        f = lambda x: x * x - 1.0
+        assert brent_root(f, 0.0, 1.0, f(0.0), 0.0, 1e-12) == (1.0, 0)
+        assert brent_root(f, 1.0, 3.0, 0.0, f(3.0), 1e-12) == (1.0, 0)
+
 
 class TestChi:
     def test_linear_chi1(self):
@@ -200,6 +291,23 @@ class TestChi:
         p = MeanFieldParams(0.7, 0.1, 0.9)
         for c in (-0.5, 0.0, 0.8):
             assert chi2(2.0, c, p, Activation.LINEAR) == pytest.approx(0.7, abs=1e-14)
+
+    @pytest.mark.parametrize("act", [Activation.LINEAR, Activation.RELU])
+    def test_scale_free_chi1_needs_no_length_solve(self, act, monkeypatch):
+        """chi1 of a positively homogeneous kind does not depend on q, so it
+        is found without solving for q*, also where the length map diverges."""
+        import mfdl.meanfield as meanfield
+
+        p = MeanFieldParams(0.4, 0.1, 0.8)
+        expected = chi1(q_fixed_point(p, act)[0], p, act)
+
+        def no_length_solve(*args, **kwargs):
+            raise AssertionError("q_fixed_point called")
+
+        monkeypatch.setattr(meanfield, "q_fixed_point", no_length_solve)
+        assert chi1_at_fixed_point(p, act) == expected
+        p_chaotic = MeanFieldParams(3.0, 0.1, 0.8)
+        assert chi1_at_fixed_point(p_chaotic, act) == chi1(123.0, p_chaotic, act)
 
     def test_chi1_monotone_in_weight_variance(self):
         """chi1 grows with sigma_w^2 (q* re-solved at each point)."""

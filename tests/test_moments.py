@@ -77,6 +77,14 @@ class TestBivariate:
         expected = 0.0 if act is Activation.RELU else dphi_sq(act, q)
         assert dphi_cross(act, q, q, -1.0) == expected
 
+    @pytest.mark.parametrize("q", [0.3, 1.0, 4.0, 25.0])
+    def test_hardtanh_cross_continuous_at_full_correlation(self, q):
+        """The value cross moment approaches phi_sq at c -> 1 at rate
+        q P(|u| < 1) (1 - c), with no offset left by the quadrature."""
+        act = Activation.HARDTANH
+        gap = phi_sq(act, q) - phi_cross(act, q, q, 1.0 - 1e-10)
+        assert 0.0 <= gap < 2e-10 * q
+
     def test_zero_length_gives_zero_cross(self):
         for act in Activation:
             assert phi_cross(act, 0.0, 1.0, 0.5) == 0.0

@@ -51,6 +51,15 @@ class TestDepthScaleGrid:
         assert np.all(np.diff(xi1[peak + 1 :]) < 0)
         assert curve.chi1[peak - 1] < 1.0 < curve.chi1[peak + 1] or curve.chi1[peak] > 1.0
 
+    def test_fine_grid_through_the_pole(self):
+        """Every point of a 200-point grid across chi1 = 1 converges, with
+        xi1 <= xi2 on both sides of the pole."""
+        p_base = MeanFieldParams(1.6, 0.05, 1.0)
+        curve = depth_scale_grid(np.linspace(1.6, 1.9, 200), p_base, Activation.TANH)
+        assert np.all(curve.converged), curve.diagnostics
+        assert curve.chi1[0] < 1.0 < curve.chi1[-1]
+        assert np.all(curve.xi1 <= curve.xi2)
+
     def test_invalid_grid_rejected(self):
         p_base = MeanFieldParams(1.0, 0.05, 1.0)
         with pytest.raises(ConfigError):

@@ -1,6 +1,6 @@
 """Source rules: library modules log instead of printing, the CLI uses only
-the public names of the other mfdl modules, and the quadrature rule stays
-inside the moments module."""
+the public names of the other mfdl modules, the quadrature rule stays
+inside the moments module, and no module imports a heavy scipy submodule."""
 
 import ast
 from pathlib import Path
@@ -74,3 +74,16 @@ def test_theory_functions_take_no_rule(name):
         if isinstance(arg, ast.arg) and arg.arg == "rule"
     ]
     assert not offenders, f"{name}: {offenders} take a 'rule' parameter"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_heavy_scipy_submodules(path):
+    """scipy.optimize, scipy.integrate and scipy.linalg each add tens of MB
+    and tenths of a second to `import mfdl.cli`; the package does without."""
+    heavy = ("scipy.optimize", "scipy.integrate", "scipy.linalg")
+    found = sorted(
+        name
+        for name in _imported_modules(_tree(path))
+        if any(name == h or name.startswith(h + ".") for h in heavy)
+    )
+    assert not found, f"{path.name} imports {found}"
