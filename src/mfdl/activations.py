@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ConfigError
 
@@ -53,6 +52,9 @@ class Activation(enum.Enum):
         elif self is Activation.HARDTANH:
             out = np.clip(z, -1.0, 1.0)
         else:
+            # local: `import scipy.special` costs ~0.25 s and ~25 MB RSS; only Erf needs it
+            from scipy.special import erf
+
             out = erf(_ERF_SCALE * z)
         return out if out.ndim else float(out)
 

@@ -28,9 +28,10 @@ Erf at q >> 1).  This module therefore dispatches per activation:
     variance; the README's "Numerical notes" give measured values).
 
 At |c| = 1 every bivariate moment reduces exactly to its univariate
-counterpart, so downstream identities (e.g. the two slope quantities
-coinciding at a fully correlated fixed point without dropout) hold to
-machine precision rather than to quadrature tolerance.
+counterpart (to 0 for ReLU at c = -1, where relu(u) relu(-u) = 0), so
+downstream identities (e.g. the two slope quantities coinciding at a fully
+correlated fixed point without dropout) hold to machine precision rather
+than to quadrature tolerance.
 
 All values are continuous extensions in q: limits as q -> 0+ are used at
 q = 0 (e.g. E[phi'(sqrt(q) z)^2] -> 1/2 for ReLU).
@@ -42,7 +43,6 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import ndtr, owens_t
 
 from .activations import Activation
 from .errors import ConfigError
@@ -135,6 +135,11 @@ def _hardtanh_dsq(q: float) -> float:
     return math.erf(1.0 / math.sqrt(2.0 * q))
 
 
+def _ndtr(x: float) -> float:
+    """Standard normal CDF of a scalar."""
+    return 0.5 * math.erfc(-x / _SQRT2)
+
+
 def bvn_cdf(h: float, k: float, r: float) -> float:
     """P(X <= h, Y <= k) for standard bivariate normal (X, Y) with corr r.
 
@@ -143,19 +148,22 @@ def bvn_cdf(h: float, k: float, r: float) -> float:
     """
     if abs(r) >= 1.0:
         if r >= 1.0:
-            return float(ndtr(min(h, k)))
-        return float(max(0.0, ndtr(h) + ndtr(k) - 1.0))
+            return _ndtr(min(h, k))
+        return max(0.0, _ndtr(h) + _ndtr(k) - 1.0)
     rr = math.sqrt(1.0 - r * r)
     if h == 0.0 and k == 0.0:
         return 0.25 + math.asin(r) / (2.0 * math.pi)
+    # local: `import scipy.special` costs ~0.25 s and ~25 MB RSS; only HardTanh needs it
+    from scipy.special import owens_t
+
     if h == 0.0:
-        return float(0.5 * ndtr(k) - owens_t(k, -r / rr))
+        return float(0.5 * _ndtr(k) - owens_t(k, -r / rr))
     if k == 0.0:
-        return float(0.5 * ndtr(h) - owens_t(h, -r / rr))
+        return float(0.5 * _ndtr(h) - owens_t(h, -r / rr))
     ah = (k - r * h) / (h * rr)
     ak = (h - r * k) / (k * rr)
     delta = 0.0 if h * k > 0.0 else 0.5
-    return float(0.5 * (ndtr(h) + ndtr(k)) - owens_t(h, ah) - owens_t(k, ak) - delta)
+    return float(0.5 * (_ndtr(h) + _ndtr(k)) - owens_t(h, ah) - owens_t(k, ak) - delta)
 
 
 def _rectangle_prob(alpha: float, beta: float, r) -> np.ndarray:
@@ -298,8 +306,10 @@ def phi_cross(act: Activation, qa: float, qb: float, c: float) -> float:
     c = _check_c(c)
     if qa == 0.0 or qb == 0.0:
         return 0.0  # phi(0) = 0 for every kind
-    if abs(c) == 1.0 and qa == qb:
-        return math.copysign(1.0, c) * phi_sq(act, qa)
+    if c == 1.0 and qa == qb:
+        return phi_sq(act, qa)
+    if c == -1.0 and qa == qb and act is not Activation.RELU:
+        return -phi_sq(act, qa)  # phi(-u) = -phi(u); ReLU's kernel gives 0 here
     if act is Activation.LINEAR:
         return math.sqrt(qa * qb) * c
     if act is Activation.RELU:

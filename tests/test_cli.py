@@ -320,3 +320,51 @@ class TestThreadsEnv:
 
 def test_usage_error_on_missing_command():
     assert main([]) == EXIT_USAGE
+
+
+class TestSharedParser:
+    """main parses with one parser built on its first call."""
+
+    def test_parser_built_once(self):
+        from mfdl import cli
+
+        assert cli._main_parser() is cli._main_parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_same_outputs_as_a_fresh_parser_per_call(self, tmp_path, capsys, monkeypatch):
+        from mfdl import cli
+
+        small = _write_cfg(tmp_path, "small.json", {"depth": 3, "width": 8, "instances": 2})
+        theory = _write_cfg(tmp_path, "theory.json", {"rhos": [1.0], "layers": 3, "simulate": False})
+        out = str(tmp_path / "out")
+        calls = [
+            ["fixed-point", "--out", out, "--no-header-timestamp"],
+            ["critical-line"],
+            ["gradsim", "--config", small, "--out", out, "--no-header-timestamp"],
+            ["gradsim", "--config", small, "--out", out, "--no-header-timestamp",
+             "--seed", "5", "--instances", "3"],
+            ["lengthmap", "--config", theory, "--out", out, "--no-header-timestamp", "--seed", "2"],
+            ["gradsim", "--bogus"],  # usage error
+            ["phase", "--seed", "3"],
+            [],
+            ["--help"],
+            ["gradsim", "--help"],
+            ["fixed-point", "--config", small],  # unknown field: config error
+            ["gradsim", "--config", small, "--out", out, "--no-header-timestamp"],
+        ]
+
+        def run_all():
+            seen = []
+            for argv in calls:
+                rc = main(list(argv))
+                captured = capsys.readouterr()
+                seen.append((rc, captured.out, captured.err))
+            return seen
+
+        shared = run_all()
+        monkeypatch.setattr(cli, "_main_parser", cli.build_parser)
+        fresh = run_all()
+        assert shared == fresh
+        assert [rc for rc, _, _ in shared] == [EXIT_OK] * 5 + [EXIT_USAGE] * 3 + [EXIT_OK] * 2 + [
+            EXIT_USAGE, EXIT_OK]
+        assert "usage: mfdl" in shared[8][1] and "--instances" in shared[9][1]

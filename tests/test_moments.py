@@ -2,13 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from mfdl.activations import Activation
 from mfdl.errors import ConfigError
-from mfdl.moments import bvn_cdf, dphi_cross, dphi_sq, phi_cross, phi_sq
+from mfdl.moments import _ndtr, _relu_cross_kernel, bvn_cdf, dphi_cross, dphi_sq, phi_cross, phi_sq
 
 _PDF = lambda z: math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
 
@@ -72,10 +73,23 @@ class TestBivariate:
         fixed point."""
         q = 1.3
         assert phi_cross(act, q, q, 1.0) == phi_sq(act, q)
-        assert phi_cross(act, q, q, -1.0) == -phi_sq(act, q)
+        # relu(u) relu(-u) = 0; every other kind is odd
+        expected = 0.0 if act is Activation.RELU else -phi_sq(act, q)
+        assert phi_cross(act, q, q, -1.0) == expected
         assert dphi_cross(act, q, q, 1.0) == dphi_sq(act, q)
         expected = 0.0 if act is Activation.RELU else dphi_sq(act, q)
         assert dphi_cross(act, q, q, -1.0) == expected
+
+    @pytest.mark.parametrize("q", [0.3, 1.3, 25.0])
+    def test_relu_cross_continuous_at_anticorrelation(self, q):
+        """c -> -1 follows the arc-cosine kernel down to its value 0 at
+        c = -1, with equal or unequal lengths."""
+        act = Activation.RELU
+        for eps in (1e-2, 1e-6, 1e-12):
+            c = -1.0 + eps
+            assert phi_cross(act, q, q, c) == pytest.approx(q * _relu_cross_kernel(c), rel=1e-12)
+        assert phi_cross(act, q, q, -1.0) == q * _relu_cross_kernel(-1.0) == 0.0
+        assert phi_cross(act, q, q * (1.0 + 1e-7), -1.0) == 0.0
 
     @pytest.mark.parametrize("q", [0.3, 1.0, 4.0, 25.0])
     def test_hardtanh_cross_continuous_at_full_correlation(self, q):
@@ -95,6 +109,16 @@ class TestBivariate:
 
 
 class TestBvnCdf:
+    def test_normal_cdf_vs_mpmath(self):
+        """Phi from math.erfc: relative error <= 1e-12 down to the deep lower
+        tail (x/sqrt(2) is rounded before erfc), absolute <= 1e-15 in the bulk."""
+        with mpmath.workdps(40):
+            for x in np.linspace(-37.0, 8.0, 1801):
+                exact = float(mpmath.ncdf(x))
+                assert abs(_ndtr(x) - exact) <= 1e-12 * exact, x
+                if abs(x) <= 8.0:
+                    assert abs(_ndtr(x) - exact) <= 1e-15, x
+
     def test_independence(self):
         from scipy.special import ndtr
 

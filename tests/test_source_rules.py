@@ -1,8 +1,13 @@
 """Source rules: library modules log instead of printing, the CLI uses only
 the public names of the other mfdl modules, the quadrature rule stays
-inside the moments module, and no module imports a heavy scipy submodule."""
+inside the moments module, no module imports a heavy scipy submodule, and
+scipy loads only where a computation needs it."""
 
 import ast
+import json
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -87,3 +92,114 @@ def test_no_heavy_scipy_submodules(path):
         if any(name == h or name.startswith(h + ".") for h in heavy)
     )
     assert not found, f"{path.name} imports {found}"
+
+
+def _import_time_imports(tree):
+    """Import statements that run when the module is imported: all but those
+    inside function bodies."""
+    found, stack = [], list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.append(node)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _top_packages(node):
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[0] for alias in node.names}
+    return set() if node.level else {node.module.split(".")[0]}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_scipy_import(path):
+    """`import scipy.special` alone costs ~0.25 s, half the start-up of a CLI
+    call; only an Erf simulation and the HardTanh bivariate CDF need it, and
+    they import it where they use it."""
+    found = [
+        node.lineno
+        for node in _import_time_imports(_tree(path))
+        if "scipy" in _top_packages(node)
+    ]
+    assert not found, f"{path.name} imports scipy at module level on lines {found}"
+
+
+def _fresh_interpreter(code: str, tmp_path):
+    """Runs `code` in a new interpreter with src on the path; returns the
+    JSON value it prints last."""
+    src = str(SRC.parent)
+    script = f"import sys\nsys.path.insert(0, {src!r})\n" + textwrap.dedent(code)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cli_recipes_leave_scipy_special_unloaded(tmp_path):
+    """A Tanh phase grid, a Linear gradsim and a small universality sweep
+    over the four default kinds run in a process that never loads it."""
+    result = _fresh_interpreter(
+        """
+        import contextlib, io, json
+        import mfdl.cli as cli
+
+        loaded = {"import": "scipy.special" in sys.modules}
+        runs = {
+            "phase": {"activation": "tanh", "grid_points": 4},
+            "gradsim": {"activation": "linear", "depth": 4, "width": 16, "instances": 3},
+            "universality": {"rows": [{"activation": a, "rho": 0.7, "width": 16}
+                                      for a in ("linear", "relu", "tanh", "hardtanh")],
+                             "depth": 6, "instances": 2},
+        }
+        for name, fields in runs.items():
+            with open(name + ".json", "w") as fh:
+                json.dump(fields, fh)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                rc = cli.main([name, "--config", name + ".json", "--out", name])
+            assert rc == 0, name
+            loaded[name] = "scipy.special" in sys.modules
+        print(json.dumps(loaded))
+        """,
+        tmp_path,
+    )
+    assert result == {"import": False, "phase": False, "gradsim": False, "universality": False}
+
+
+# values at the commit before scipy.special became a deferred import
+_ERF_Z = [-3.0, -0.5, 0.0, 0.25, 1.0, 7.5]
+_ERF_VALUES = [-0.9998300475248234, -0.46911594893005937, 0.0,
+               0.24596892647166024, 0.7899085945560627, 1.0]
+_HARDTANH_CROSS = [((1.3, 1.3, 0.5), 0.2560519537794863), ((0.4, 2.5, -0.8), -0.3480366166981036),
+                   ((4.0, 4.0, 0.999), 0.7390152623258813), ((25.0, 0.3, 0.2), 0.0810870141187854)]
+
+
+@pytest.mark.parametrize(
+    "call, expected, tol",
+    [
+        (f"Activation.ERF.value_at(np.array({_ERF_Z!r})).tolist()", _ERF_VALUES, 0.0),
+        # Phi now comes from math.erfc, which may move the last bit
+        (f"[phi_cross(Activation.HARDTANH, *a) for a, _ in {_HARDTANH_CROSS!r}]",
+         [v for _, v in _HARDTANH_CROSS], 1e-15),
+    ],
+    ids=["erf", "hardtanh"],
+)
+def test_scipy_special_loads_on_first_use(tmp_path, call, expected, tol):
+    before, values, after = _fresh_interpreter(
+        f"""
+        import json
+        import numpy as np
+        from mfdl.activations import Activation
+        from mfdl.moments import phi_cross
+
+        before = "scipy.special" in sys.modules
+        values = {call}
+        print(json.dumps([before, values, "scipy.special" in sys.modules]))
+        """,
+        tmp_path,
+    )
+    assert not before and after
+    assert values == pytest.approx(expected, rel=0, abs=tol)
