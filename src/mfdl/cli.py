@@ -539,6 +539,7 @@ def cmd_fixed_point(cfg: dict) -> dict:
         v, infinite = _json_real(val)
         out[name] = v
         out[name + "_infinite"] = infinite
+    out["counters"] = {"q_evals": d.q_evals, "c_evals": d.c_evals}
     return out
 
 

@@ -21,19 +21,20 @@ and each maps to a depth scale xi = |1 / ln chi|, infinite at chi = 1.
 
 Moments come from `moments`, on a fixed 64-node rule where one is needed.
 
-q* is found by direct iteration of the length map.  c* is found from
-structure plus one bracketed root finder (Brent's method, `brent_root`):
-the correlation map m is nondecreasing, and by Mehler's expansion it is
-convex on [0, 1].  At rho = 1, c = 1 is a fixed point with slope chi1, so
-c* = 1 exactly when chi1 <= 1; every other c* is bracketed and solved to
-`tol`.  Divergent length maps (e.g. linear networks with sigma_w^2 >= rho)
-are reported as errors, not as infinities.
+q* and c* come from one algorithm, `_walk_to_fixed_point`: structure plus
+a bracketed root finder (Brent's method, `brent_root`).  An end of the
+domain that is a fixed point with slope <= 1 is the answer exactly: q* = 0
+at sigma_b^2 = 0 when chi1(0) <= 1, c* = 1 at rho = 1 when chi1 <= 1.  A
+divergent length map (e.g. a linear network with sigma_w^2 >= rho) is an
+error, not an infinity; Linear and ReLU then take c* from the scale-free
+limit of the correlation map.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, takewhile
 
 import numpy as np
 
@@ -47,6 +48,7 @@ DEFAULT_MAX_ITER = 10_000
 _EPS = np.finfo(np.float64).eps
 
 _Q_DIVERGENCE_CAP = 1e12
+_XI_UNIT_TOL = 1e-12  # |chi - 1| at or below which a depth scale is infinite
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,8 @@ class DepthScales:
     chi2: float
     xi1: float
     xi2: float
+    q_evals: int  # length-map evaluations spent on q*
+    c_evals: int  # correlation-map evaluations spent on c*
 
 
 def q_step(q: float, p: MeanFieldParams, a: Activation) -> float:
@@ -111,41 +115,26 @@ def q_fixed_point(
     a: Activation,
     q0: float = 1.0,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[float, int]:
-    """Iterate the length map to its fixed point q*.
+    """Fixed point q* of the length map that iteration from q0 reaches, and
+    the map evaluations spent; the checkpoints double or halve q0.
 
-    Returns (q_star, iterations).  Raises NonConvergenceError in divergent
-    regimes, carrying the last iterate.
+    phi_sq is concave in q for every kind, so q* = 0 exactly when q = 0 is
+    a fixed point (sigma_b^2 = 0) with slope chi1(0) <= 1.  A map above the
+    diagonal up to `_Q_DIVERGENCE_CAP` raises NonConvergenceError.
     """
     if q0 <= 0.0:
         raise ConfigError(f"q0 must be > 0, got {q0!r}")
     if tol <= 0.0:
         raise ConfigError(f"tol must be > 0, got {tol!r}")
-    q = float(q0)
-    prev_delta = 0.0
-    damping = 1.0
-    for it in range(1, max_iter + 1):
-        q_next = q_step(q, p, a)
-        delta = q_next - q
-        if abs(delta) < tol:
-            return q_next, it
-        if not np.isfinite(q_next) or q_next > _Q_DIVERGENCE_CAP:
-            raise NonConvergenceError(
-                f"length map diverged after {it} iterations (q = {q_next:.3e}); "
-                "this hyperparameter point has no finite fixed point",
-                last_iterate=q_next,
-                iterations=it,
-            )
-        if delta * prev_delta < 0.0:
-            damping = 0.5  # oscillation detected; damp all further steps
-        prev_delta = delta
-        q = q + damping * delta
-    raise NonConvergenceError(
-        f"length map did not converge within {max_iter} iterations "
-        f"(last q = {q:.6e}, last step = {prev_delta:.3e})",
-        last_iterate=q,
-        iterations=max_iter,
+
+    def walk(s):
+        if s < 0.0:  # the halvings underflow to the end 0.0 before k = 1100
+            return 0.0, (q0 * 0.5**k for k in range(1, 1100))
+        return None, takewhile(lambda q: q <= _Q_DIVERGENCE_CAP, (q0 * 2.0**k for k in count(1)))
+
+    return _walk_to_fixed_point(
+        lambda q: q_step(q, p, a), q0, walk, lambda q: chi1(q, p, a), tol
     )
 
 
@@ -234,34 +223,30 @@ def brent_root(f, a, b, fa, fb, tol, max_iter=DEFAULT_MAX_ITER):
     )
 
 
-def _solve_c(p, a, q_star, c0, tol, max_iter):
-    """The c* that iterating the correlation map at q* from c0 reaches, and
-    the evaluations of the map spent on it.
+def _walk_to_fixed_point(m, x0, walk, slope, tol):
+    """The fixed point of the nondecreasing map m that iteration from x0
+    reaches, and the evaluations of m spent on it.
 
-    m is nondecreasing (every activation here is), so the iteration moves
-    monotonically from c0 to the first fixed point in the direction
-    s = sign(m(c0) - c0).  g = m - c is convex on [0, 1] (Mehler: m has
-    nonnegative power-series coefficients) and, for odd activations,
-    concave on [-1, 0] (ReLU's m is >= 0, so g has no root there).  So
-    between two of the checkpoints s * (1 - 2^-j) (0, s/2, 3s/4, ..., s) a
-    sign change of g holds exactly one root, and the first sign change
-    past c0 brackets c*.  When the end s is itself a
-    fixed point (c = 1 at rho = 1; c = -1 also for an odd activation
-    without bias) with slope <= 1, no root lies before it: c* = s exactly.
+    Iteration moves monotonically toward s = sign(m(x0) - x0).  walk(s)
+    gives the end of m's domain that way (None if unbounded) and checkpoints
+    such that the first sign change of m(x) - x past x0 brackets the fixed
+    point for `brent_root`.  An end that is a fixed point with slope <= 1 is
+    returned exactly.  No sign change and no end: NonConvergenceError.
     """
-    m = _c_map_at_fixed_point(p, a, q_star)
-    m0 = m(c0)
-    if abs(m0 - c0) < tol:
+    m0 = m(x0)
+    if abs(m0 - x0) < tol:
         return m0, 1
-    s = math.copysign(1.0, m0 - c0)
-    g_end = m(s) - s
-    if g_end == 0.0 and chi2(q_star, s, p, a) <= 1.0:
-        return s, 2
-    lo, g_lo = c0, m0 - c0
-    evals = 2
-    for j in range(54):  # j = 54 gives 1 - 2^-54, which rounds to the end s
-        t = s * (1.0 - 0.5**j)
-        if s * t <= s * c0:
+    s = math.copysign(1.0, m0 - x0)
+    end, checkpoints = walk(s)
+    evals = 1
+    if end is not None:
+        g_end = m(end) - end
+        evals += 1
+        if g_end == 0.0 and slope(end) <= 1.0:
+            return end, evals
+    lo, g_lo = x0, m0 - x0
+    for t in checkpoints:
+        if s * t <= s * x0:
             continue
         g_t = m(t) - t
         evals += 1
@@ -269,9 +254,55 @@ def _solve_c(p, a, q_star, c0, tol, max_iter):
             break
         lo, g_lo = t, g_t
     else:
-        t, g_t = s, g_end
-    root, n = brent_root(lambda c: m(c) - c, lo, t, g_lo, g_t, tol, max_iter)
+        if end is None:
+            raise NonConvergenceError(
+                f"no fixed point: the map stays above the diagonal up to {lo:.3e}",
+                last_iterate=lo, iterations=evals,
+            )
+        t, g_t = end, g_end
+    root, n = brent_root(lambda x: m(x) - x, lo, t, g_lo, g_t, tol)
     return root, evals + n
+
+
+def _correlation_walk(s):
+    """The end s of [-1, 1] and the checkpoints 0, s/2, 3s/4, ... toward it
+    (j stops at 53: 1 - 2^-54 rounds to s).
+
+    g = m - c is convex on [0, 1] (Mehler: m has nonnegative power-series
+    coefficients) and, for odd activations, concave on [-1, 0] (ReLU's m is
+    >= 0, so g has no root there): a sign change of g between two
+    checkpoints holds exactly one root, and none lies before an end that is
+    a fixed point with slope <= 1 (c = 1 at rho = 1; c = -1 also for an odd
+    activation without bias).
+    """
+    return s, (s - s * 0.5**j for j in range(54))
+
+
+def _solve_c(p, a, q_star, c0, tol):
+    """c* of the correlation map at q* from c0, and the map evaluations spent."""
+    return _walk_to_fixed_point(
+        _c_map_at_fixed_point(p, a, q_star), c0, _correlation_walk,
+        lambda c: chi2(q_star, c, p, a), tol,
+    )
+
+
+def _solve_scale_free_c(p, a, c0, q0, tol):
+    """c* of Linear or ReLU where the lengths diverge.
+
+    As q -> inf the bias drops out and the correlation map tends to
+    m_inf(c) = rho kappa(c) / kappa(1), kappa(c) = phi_cross(1, 1, c): c for
+    Linear, the arc-cosine kernel for ReLU.  Linear at rho = 1 makes m_inf
+    the identity; there the transient from (q0, q0, c0) fixes the limit:
+    1 - c_inf = q0 (1 - c0) (s - 1) / (q0 (s - 1) + sigma_b^2), s = sigma_w^2.
+    """
+    if a is Activation.LINEAR and p.rho == 1.0:
+        s = p.sigma_w_sq
+        return 1.0 - q0 * (1.0 - c0) * (s - 1.0) / (q0 * (s - 1.0) + p.sigma_b_sq), 0
+    k = p.rho / phi_sq(a, 1.0)
+    return _walk_to_fixed_point(
+        lambda c: k * phi_cross(a, 1.0, 1.0, c), c0, _correlation_walk,
+        lambda c: k * dphi_cross(a, 1.0, 1.0, c), tol,
+    )
 
 
 def c_fixed_point(
@@ -279,54 +310,24 @@ def c_fixed_point(
     a: Activation,
     c0: float = 0.9,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     q0: float = 1.0,
 ) -> tuple[float, int]:
     """Fixed point c* of the correlation map, and the map evaluations spent.
 
     The lengths are first driven to q*; c* is then the fixed point of the
-    correlation map at q* that iteration from c0 reaches (see `_solve_c`).
-    Where the length map diverges but the activation is positively
-    homogeneous (Linear, ReLU), the correlation map still has a
-    well-defined scale-free limit: in that case the joint recursion is
-    iterated directly and convergence is detected on c alone.
+    correlation map at q* that iteration from c0 reaches.  Where the length
+    map diverges but the activation is positively homogeneous (Linear,
+    ReLU), c* of the scale-free limit of the map is solved instead.
     """
     if not (-1.0 < c0 < 1.0):
         raise ConfigError(f"c0 must lie in (-1, 1), got {c0!r}")
     try:
-        q_star, _ = q_fixed_point(p, a, q0=q0, tol=tol, max_iter=max_iter)
+        q_star, _ = q_fixed_point(p, a, q0=q0, tol=tol)
     except NonConvergenceError:
         if not a.positively_homogeneous:
             raise
-        return _c_fixed_point_divergent_lengths(p, a, c0, tol, max_iter, q0)
-    return _solve_c(p, a, q_star, c0, tol, max_iter)
-
-
-def _c_fixed_point_divergent_lengths(p, a, c0, tol, max_iter, q0):
-    # growing lengths: iterate the joint recursion; c settles while q runs off,
-    # so require the c increment to stay below tol for a few consecutive steps
-    s = LengthState(q_aa=q0, q_bb=q0, c_ab=c0, layer=0)
-    quiet = 0
-    for it in range(1, max_iter + 1):
-        try:
-            s_next = c_step(s, p, a)
-        except (OverflowError, FloatingPointError):
-            break
-        if not (np.isfinite(s_next.q_aa) and s_next.q_aa < 1e280):
-            raise NonConvergenceError(
-                "length map overflowed before the correlation settled",
-                last_iterate=s.c_ab,
-                iterations=it,
-            )
-        quiet = quiet + 1 if abs(s_next.c_ab - s.c_ab) < tol else 0
-        s = s_next
-        if quiet >= 3:
-            return s.c_ab, it
-    raise NonConvergenceError(
-        f"correlation did not settle within {max_iter} iterations (last c = {s.c_ab!r})",
-        last_iterate=s.c_ab,
-        iterations=max_iter,
-    )
+        return _solve_scale_free_c(p, a, c0, q0, tol)
+    return _solve_c(p, a, q_star, c0, tol)
 
 
 def chi1(q_star: float, p: MeanFieldParams, a: Activation) -> float:
@@ -347,27 +348,21 @@ def chi2(q_star: float, c_star: float, p: MeanFieldParams, a: Activation) -> flo
     return p.sigma_w_sq * dphi_cross(a, q_star, q_star, c_star)
 
 
-def xi_from_chi(chi: float, unit_tol: float = 1e-12) -> float:
+def xi_from_chi(chi: float) -> float:
     """Depth scale |1 / ln chi|; +inf at chi = 1, 0 at chi = 0.
 
     Negative chi (possible for chi2 in principle) decays in magnitude like
     |chi|^l, so the scale is computed from |chi|.
     """
     chi = abs(chi)
-    if abs(chi - 1.0) <= unit_tol:
+    if abs(chi - 1.0) <= _XI_UNIT_TOL:
         return math.inf
     if chi == 0.0:
         return 0.0
     return abs(1.0 / math.log(chi))
 
 
-def chi1_at_fixed_point(
-    p: MeanFieldParams,
-    a: Activation,
-    q0: float = 1.0,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> float:
+def chi1_at_fixed_point(p: MeanFieldParams, a: Activation) -> float:
     """chi1 with q* solved internally.
 
     For positively homogeneous activations phi' is scale invariant, so chi1
@@ -377,8 +372,7 @@ def chi1_at_fixed_point(
     """
     if a.positively_homogeneous:
         return chi1(1.0, p, a)
-    q_star, _ = q_fixed_point(p, a, q0=q0, tol=tol, max_iter=max_iter)
-    return chi1(q_star, p, a)
+    return chi1(q_fixed_point(p, a)[0], p, a)
 
 
 def depth_scales(
@@ -387,7 +381,6 @@ def depth_scales(
     q0: float = 1.0,
     c0: float = 0.9,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> DepthScales:
     """Bundle (q*, c*, chi1, chi2, xi1, xi2) for one hyperparameter point.
 
@@ -395,8 +388,8 @@ def depth_scales(
     the degenerate bivariate moments apply and chi2 = chi1 holds to machine
     precision.
     """
-    q_star, _ = q_fixed_point(p, a, q0=q0, tol=tol, max_iter=max_iter)
-    c_star, _ = _solve_c(p, a, q_star, c0, tol, max_iter)
+    q_star, q_evals = q_fixed_point(p, a, q0=q0, tol=tol)
+    c_star, c_evals = _solve_c(p, a, q_star, c0, tol)
     x1 = chi1(q_star, p, a)
     x2 = chi2(q_star, c_star, p, a)
     return DepthScales(
@@ -406,6 +399,8 @@ def depth_scales(
         chi2=x2,
         xi1=xi_from_chi(x1),
         xi2=xi_from_chi(x2),
+        q_evals=q_evals,
+        c_evals=c_evals,
     )
 
 
@@ -466,7 +461,6 @@ def c_convergence_rate(
     c0: float = 0.5,
     layers: int = 200,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> float:
     """Empirical depth scale of |c^l - c*| from the recursion itself.
 
@@ -477,8 +471,8 @@ def c_convergence_rate(
     """
     if layers < 10:
         raise ConfigError("layers must be >= 10 for a rate fit")
-    q_star, _ = q_fixed_point(p, a, tol=tol, max_iter=max_iter)
-    c_star, _ = _solve_c(p, a, q_star, c0, tol, max_iter)
+    q_star, _ = q_fixed_point(p, a, tol=tol)
+    c_star, _ = _solve_c(p, a, q_star, c0, tol)
     m = _c_map_at_fixed_point(p, a, q_star)
     cs = np.empty(layers)
     c = float(c0)

@@ -234,6 +234,9 @@ class TestScalarCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["xi1_infinite"] is False
         assert out["q_star"] > 0
+        # map evaluations per fixed point
+        assert out["counters"]["q_evals"] > 1
+        assert out["counters"]["c_evals"] == 2
 
     def test_divergent_regime_exit_code(self, tmp_path):
         cfg = _write_cfg(

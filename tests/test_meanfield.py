@@ -1,6 +1,7 @@
 """Length/correlation recursions, fixed points, slopes, and depth scales."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -103,6 +104,31 @@ class TestQFixedPoint:
             ]
             assert max(vals) - min(vals) < 10 * tol
 
+    @pytest.mark.parametrize(
+        "act,sw2",
+        [
+            (Activation.TANH, 1.0),  # slope exactly 1 at q = 0: q^n ~ 1/n
+            (Activation.TANH, 0.5),
+            (Activation.ERF, 0.5),
+            (Activation.HARDTANH, 0.9),
+            (Activation.RELU, 1.5),
+            (Activation.LINEAR, 0.5),
+        ],
+    )
+    def test_zero_bias_ordered_side_is_zero_by_structure(self, act, sw2):
+        """Without bias q = 0 is a fixed point; with slope chi1(0) <= 1 it is
+        q* exactly, after the first step and one look at the end, where
+        direct iteration stops near tol (or, at slope 1, never)."""
+        assert q_fixed_point(MeanFieldParams(sw2, 0.0, 1.0), act) == (0.0, 2)
+
+    def test_divergence_detected_without_max_iter(self):
+        """q' = q + 0.1 has no fixed point; the doubling walk reports it after
+        about log2(cap) evaluations, not after a step budget."""
+        with pytest.raises(NonConvergenceError) as err:
+            q_fixed_point(MeanFieldParams(1.0, 0.1, 1.0), Activation.LINEAR)
+        assert err.value.iterations < 50
+        assert 1e11 < err.value.last_iterate <= 1e12
+
 
 class TestCStep:
     def test_fully_correlated_fixed_at_rho_one(self):
@@ -190,6 +216,46 @@ class TestCFixedPoint:
         with pytest.raises(DegenerateStateError):
             depth_scales(MeanFieldParams(0.0, 0.0, 1.0), Activation.TANH)
 
+    def test_zero_bias_ordered_side_has_no_correlation(self):
+        """q* = 0 exactly, so the correlation is undefined (not c* = -1)."""
+        with pytest.raises(DegenerateStateError, match="correlation undefined"):
+            depth_scales(MeanFieldParams(0.5, 0.0, 1.0), Activation.TANH)
+
+    @pytest.mark.parametrize("sw2", [2.5, 3.0])
+    def test_relu_divergent_lengths_fully_correlated_at_rho_one(self, sw2):
+        """The scale-free ReLU map has c = 1 as a fixed point of slope 1, so
+        c* = 1 exactly; iterating the joint (q, q, c) recursion instead
+        approaches it like 1/n until q_aa * q_bb overflows to a NaN."""
+        c_star, _ = c_fixed_point(MeanFieldParams(sw2, 0.1, 1.0), Activation.RELU)
+        assert c_star == 1.0
+
+    def test_relu_divergent_lengths_match_joint_recursion(self):
+        """The value iterating the joint (q, q, c) recursion settles on."""
+        c_star, _ = c_fixed_point(MeanFieldParams(3.0, 0.1, 0.9), Activation.RELU)
+        assert abs(c_star - 0.62714588495) < 1e-9
+
+    def test_linear_divergent_lengths_decorrelate_exactly(self):
+        """m_inf(c) = rho c has c* = 0 exactly."""
+        c_star, _ = c_fixed_point(MeanFieldParams(1.5, 0.1, 0.9), Activation.LINEAR)
+        assert c_star == 0.0
+
+    @pytest.mark.parametrize("sw2,sb2,q0,c0", [(1.25, 0.1, 1.0, 0.9), (2.0, 0.5, 2.0, 0.3)])
+    def test_linear_divergent_lengths_at_rho_one_closed_form(self, sw2, sb2, q0, c0):
+        """Where m_inf is the identity, c* is the limit of the joint recursion
+        from (q0, q0, c0), here iterated in exact rational arithmetic until
+        its distance to the limit, ~sigma_w^-2n, is far below 1e-16."""
+        s, b = Fraction(sw2), Fraction(sb2)
+        q, q_ab = Fraction(q0), Fraction(c0) * Fraction(q0)
+        for _ in range(400):
+            q, q_ab = s * q + b, s * q_ab + b
+        c_star, _ = c_fixed_point(MeanFieldParams(sw2, sb2, 1.0), Activation.LINEAR, c0=c0, q0=q0)
+        assert c_star == pytest.approx(float(q_ab / q), abs=2e-16)
+
+    def test_linear_critical_lengths_fully_correlate(self):
+        """q' = q + sigma_b^2 grows linearly, and 1 - c shrinks like 1/q."""
+        c_star, _ = c_fixed_point(MeanFieldParams(1.0, 0.1, 1.0), Activation.LINEAR)
+        assert c_star == 1.0
+
 
 def _damped_c_iteration(p, act, q_star, c0):
     """Oracle: c <- c + (m(c) - c) / 2 until the step falls below 1e-14."""
@@ -251,6 +317,80 @@ def test_c_star_structure_property(act, sw2, sb2, rho, c0):
         m = (sw2 * phi_cross(act, q_star, q_star, c_star) + sb2) / q_step(q_star, p, act)
         assert 0.0 <= c_star < 1.0
         assert abs(m - c_star) <= 1e-12
+
+
+def _damped_q_iteration(p, act, q0):
+    """Oracle: q <- q + (q_step(q) - q) / 2 until the step falls below 1e-14."""
+    q = q0
+    for _ in range(100_000):
+        q_next = q + 0.5 * (q_step(q, p, act) - q)
+        if abs(q_next - q) < 1e-14:
+            return q_next
+        q = q_next
+    raise AssertionError("oracle iteration did not settle")
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.9, 0.6])
+@pytest.mark.parametrize("act", list(Activation))
+def test_q_star_matches_damped_direct_iteration(act, rho):
+    """The walk finds the q* that direct iteration reaches from q0."""
+    for ratio in _ORACLE_WEIGHT_RATIOS[act]:
+        p = MeanFieldParams(ratio * rho, 0.1, rho)
+        for q0 in (0.1, 1.0, 10.0):
+            q_star, _ = q_fixed_point(p, act, q0=q0)
+            oracle = _damped_q_iteration(p, act, q0)
+            assert abs(q_star - oracle) < 1e-9 * max(1.0, oracle), (p, q0, q_star)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    act=st.sampled_from(list(Activation)),
+    sw2=st.floats(0.05, 4.0),
+    sb2=st.floats(0.01, 1.0),
+    rho=st.one_of(st.just(1.0), st.floats(0.2, 0.99)),
+    q0=st.floats(0.01, 100.0),
+)
+def test_q_star_solves_length_map(act, sw2, sb2, rho, q0):
+    """|q_step(q*) - q*| <= 10 tol.  Above q* = 1 the bound scales with q*,
+    since float spacing there exceeds tol (a Linear q* = sigma_b^2 / (1 -
+    sigma_w^2 / rho) can be large)."""
+    p = MeanFieldParams(sw2, sb2, rho)
+    tol = 1e-12
+    try:
+        q_star, _ = q_fixed_point(p, act, q0=q0, tol=tol)
+    except NonConvergenceError:
+        assume(False)
+    assert abs(q_step(q_star, p, act) - q_star) <= 10 * tol * max(1.0, q_star)
+
+
+def test_every_fixed_point_goes_through_brent_root(monkeypatch):
+    """q*, c* at q*, the scale-free c* and the critical line all call the
+    one root finder."""
+    import mfdl.meanfield as meanfield
+    import mfdl.phase as phase
+
+    calls = []
+    real = meanfield.brent_root
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(meanfield, "brent_root", counting)
+    monkeypatch.setattr(phase, "brent_root", counting)
+
+    def brent_calls(solve):
+        calls.clear()
+        solve()
+        return len(calls)
+
+    p = MeanFieldParams(1.5, 0.1, 0.9)
+    assert brent_calls(lambda: q_fixed_point(p, Activation.TANH)) == 1
+    assert brent_calls(lambda: c_fixed_point(p, Activation.TANH)) == 2  # q*, then c*
+    p_div = MeanFieldParams(3.0, 0.1, 0.9)
+    assert brent_calls(lambda: c_fixed_point(p_div, Activation.RELU)) == 1
+    crit = lambda: phase.critical_line(MeanFieldParams(1.0, 0.05, 1.0), Activation.TANH, (1.0, 3.0))
+    assert brent_calls(crit) > 1  # the line, and q* at each trial point
 
 
 class TestBrentRoot:
@@ -342,6 +482,12 @@ class TestDepthScales:
                 if math.isinf(d.xi1) and math.isinf(d.xi2):
                     continue
                 assert d.xi1 <= d.xi2, (sw2, sb2, d)
+
+    def test_reports_evaluation_counts(self):
+        p = MeanFieldParams(1.4, 0.1, 1.0)
+        d = depth_scales(p, Activation.TANH)
+        assert d.q_evals == q_fixed_point(p, Activation.TANH)[1] > 1
+        assert d.c_evals == 2  # first step, then c = 1 by structure
 
     def test_propagates_divergence(self):
         with pytest.raises(NonConvergenceError):

@@ -27,6 +27,15 @@ class TestDepthScaleGrid:
         assert len(curve.diagnostics) == 1
         assert curve.sigma_w_sq_grid.size == 2
 
+    def test_zero_bias_ordered_points_flagged(self):
+        """Without bias the ordered side has q* = 0, where the correlation is
+        undefined; the chaotic side has q* > 0."""
+        p_base = MeanFieldParams(0.5, 0.0, 1.0)
+        curve = depth_scale_grid([0.5, 2.0], p_base, Activation.TANH)
+        assert curve.converged.tolist() == [False, True]
+        assert "DegenerateStateError" in curve.diagnostics[0]
+        assert curve.q_star[1] > 0.0
+
     def test_trainable_bound_is_pointwise_min(self):
         p_base = MeanFieldParams(1.0, 0.05, 0.9)
         grid = np.linspace(0.8, 3.0, 7)
