@@ -40,7 +40,6 @@ from .meanfield import (
     xi_from_chi,
 )
 from .phase import PhaseCurve, critical_line, depth_scale_grid, trainable_length
-from .quadrature import QuadratureRule, expect1, expect2, make_rule
 from .simulator import (
     EnsembleStats,
     ForwardTrace,
@@ -77,7 +76,6 @@ __all__ = [
     "NonExponentialDecayError",
     "PhaseCurve",
     "PowerLawFit",
-    "QuadratureRule",
     "appendix_layer_oracle",
     "backward",
     "c_convergence_rate",
@@ -91,15 +89,12 @@ __all__ = [
     "depth_scales",
     "ensemble_run",
     "ensemble_run_many",
-    "expect1",
-    "expect2",
     "fit_power_law",
     "forward",
     "g_aa_closed",
     "g_ab_closed",
     "gradient_metrics",
     "independence_baseline",
-    "make_rule",
     "q_fixed_point",
     "q_step",
     "q_trajectory",

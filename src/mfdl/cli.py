@@ -447,8 +447,6 @@ _PHASE_DEFAULTS = {
     "grid_max": 4.0,
     "grid_points": 64,
     "grid_log": True,
-    "bound_multiplier": 12.0,
-    "comparison_multiplier": 6.0,
     **_OUTPUT,
 }
 
@@ -463,11 +461,7 @@ def cmd_phase(cfg: dict) -> dict:
         sigma_w_sq=grid[0], sigma_b_sq=_get(cfg, "sigma_b_sq"), rho=_get(cfg, "rho")
     )
     _progress(f"phase: {act.value} rho={cfg['rho']} over {grid.size} grid points")
-    curve = depth_scale_grid(
-        grid, p_base, act,
-        bound_multiplier=_get(cfg, "bound_multiplier"),
-        comparison_multiplier=_get(cfg, "comparison_multiplier"),
-    )
+    curve = depth_scale_grid(grid, p_base, act)
     for msg in curve.diagnostics:
         _progress(f"phase: not converged: {msg}")
     rows = [

@@ -84,7 +84,7 @@ class LengthState:
     def __post_init__(self):
         if self.q_aa < 0.0 or self.q_bb < 0.0:
             raise ConfigError("squared lengths must be >= 0")
-        if abs(self.c_ab) > 1.0:
+        if not abs(self.c_ab) <= 1.0:  # also rejects NaN
             raise ConfigError(f"|c_ab| must be <= 1, got {self.c_ab!r}")
 
 
@@ -143,12 +143,16 @@ def c_step(s: LengthState, p: MeanFieldParams, a: Activation) -> LengthState:
     q_aa = q_step(s.q_aa, p, a)
     q_bb = q_step(s.q_bb, p, a)
     q_ab = p.sigma_w_sq * phi_cross(a, s.q_aa, s.q_bb, s.c_ab) + p.sigma_b_sq
-    denom_sq = q_aa * q_bb
-    if denom_sq <= 0.0:
+    if not (math.isfinite(q_aa) and math.isfinite(q_bb) and math.isfinite(q_ab)):
+        raise EvaluationError(
+            f"squared lengths overflow at layer {s.layer + 1}: q_aa={q_aa!r}, q_bb={q_bb!r}"
+        )
+    denom = math.sqrt(q_aa) * math.sqrt(q_bb)  # q_aa * q_bb overflows at q ~ 1e154
+    if denom <= 0.0:
         raise DegenerateStateError(
             f"correlation undefined at layer {s.layer + 1}: q_aa={q_aa!r}, q_bb={q_bb!r}"
         )
-    c = q_ab / math.sqrt(denom_sq)
+    c = q_ab / denom
     if abs(c) > 1.0 + 1e-6:
         raise EvaluationError(f"correlation map produced |c| = {abs(c)!r} >> 1")
     c = min(max(c, -1.0), 1.0)

@@ -23,9 +23,12 @@ Erf at q >> 1).  This module therefore dispatches per activation:
     (Price's theorem, with a Gauss-Legendre rule in sqrt(1 - |c|), in which
     the integrand stays smooth up to |c| = 1).
   - Tanh: univariate moments via a scale-adaptive composite Gauss-Legendre
-    rule on the saturation variable (exact at any q); bivariate moments via
-    tensor Gauss-Hermite on a fixed 64-node rule (its error grows with the
-    variance; the README's "Numerical notes" give measured values).
+    rule on the saturation variable (exact at any q; phi_sq integrates
+    tanh^2 itself up to q = 1, where 1 - E[sech^2] would cancel); bivariate
+    moments summed directly over the tensor product of this module's
+    64-node Gauss-Hermite rule (its error grows with the variance; the
+    README's "Numerical notes" give measured values).  This module is the
+    only one that builds a quadrature rule.
 
 At |c| = 1 every bivariate moment reduces exactly to its univariate
 counterpart (to 0 for ReLU at c = -1, where relu(u) relu(-u) = 0), so
@@ -42,16 +45,28 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
 from .activations import Activation
 from .errors import ConfigError
-from .quadrature import expect1, expect2, make_rule
 
 _SQRT2 = math.sqrt(2.0)
 
+
+def _normal_gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Hermite rule for N(0, 1): nodes sqrt(2) x, weights
+    summing to 1, both symmetrized exactly about 0 so odd moments vanish."""
+    x, w = hermgauss(order)
+    nodes, weights = x * _SQRT2, w / w.sum()
+    nodes, weights = 0.5 * (nodes - nodes[::-1]), 0.5 * (weights + weights[::-1])
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 # tensor Gauss-Hermite rule of the bivariate Tanh moments (_gh_cross)
-_GH = make_rule(64)
+_GH_NODES, _GH_WEIGHTS = _normal_gauss_hermite(64)
 
 
 def _check_q(q: float, name: str = "q") -> float:
@@ -107,6 +122,10 @@ def _sech4(u: np.ndarray) -> np.ndarray:
 
 
 def _tanh_sq(q: float) -> float:
+    # 1 - E[sech^2] cancels at small q; up to q = 1 the Gaussian has decayed
+    # by the cutoff, so tanh^2 itself integrates there
+    if q <= 1.0:
+        return _even_decay_integral(lambda u: np.tanh(u) ** 2, q)
     return 1.0 - _even_decay_integral(_sech2, q)
 
 
@@ -257,13 +276,17 @@ def _erf_dcross(qa: float, qb: float, c: float) -> float:
 
 
 def _gh_cross(act, qa: float, qb: float, c: float, deriv: bool) -> float:
+    """E[f(u1) f(u2)] with f = phi or phi' on the 64 x 64 tensor rule; c is
+    already validated, and the integrand is finite for finite arguments."""
     f = act.derivative_at if deriv else act.value_at
     sa, sb = math.sqrt(qa), math.sqrt(qb)
+    z, w = _GH_NODES, _GH_WEIGHTS
     if abs(c) == 1.0:
         sign = 1.0 if c > 0 else -1.0
-        return expect1(lambda z: f(sa * z) * f(sign * sb * z), _GH)
+        return float(np.dot(w, f(sa * z) * f(sign * sb * z)))
     t = math.sqrt(1.0 - c * c)
-    return expect2(lambda z1, z2: f(sa * z1) * f(sb * (c * z1 + t * z2)), c, _GH)
+    z1, z2 = z[:, None], z[None, :]
+    return float(w @ (f(sa * z1) * f(sb * (c * z1 + t * z2))) @ w)
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +333,11 @@ def phi_cross(act: Activation, qa: float, qb: float, c: float) -> float:
         return phi_sq(act, qa)
     if c == -1.0 and qa == qb and act is not Activation.RELU:
         return -phi_sq(act, qa)  # phi(-u) = -phi(u); ReLU's kernel gives 0 here
+    # sqrt(qa) * sqrt(qb): qa * qb overflows on the chaotic side at q ~ 1e154
     if act is Activation.LINEAR:
-        return math.sqrt(qa * qb) * c
+        return math.sqrt(qa) * math.sqrt(qb) * c
     if act is Activation.RELU:
-        return math.sqrt(qa * qb) * _relu_cross_kernel(c)
+        return math.sqrt(qa) * math.sqrt(qb) * _relu_cross_kernel(c)
     if act is Activation.ERF:
         return _erf_cross(qa, qb, c)
     if act is Activation.HARDTANH:

@@ -2,9 +2,9 @@
 
 For each weight variance on a grid, solves the length and correlation fixed
 points and converts the slope quantities into depth scales; emits the
-bound curves multiplier*xi1 and multiplier*xi2 (default 12) together with
-the comparison curve 6*xi2 used by earlier analyses.  The trainable-length
-rule is the pointwise minimum of the two 12-xi curves.
+bound curves 12*xi1 and 12*xi2 together with the comparison curve 6*xi2
+used by earlier analyses.  The trainable-length rule is the pointwise
+minimum of the two 12-xi curves.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from .activations import Activation
 from .errors import ConfigError, MfdlError
 from .meanfield import MeanFieldParams, brent_root, chi1_at_fixed_point, depth_scales
 
-DEFAULT_BOUND_MULTIPLIER = 12.0
-DEFAULT_COMPARISON_MULTIPLIER = 6.0
+# the factors named in the PhaseCurve fields and CSV columns (b12xi1, b6xi2, b12xi2)
+BOUND_MULTIPLIER = 12.0
+COMPARISON_MULTIPLIER = 6.0
 
 
 @dataclass(frozen=True)
@@ -45,13 +46,7 @@ class PhaseCurve:
     diagnostics: tuple[str, ...] = ()
 
 
-def depth_scale_grid(
-    grid,
-    p_base: MeanFieldParams,
-    a: Activation,
-    bound_multiplier: float = DEFAULT_BOUND_MULTIPLIER,
-    comparison_multiplier: float = DEFAULT_COMPARISON_MULTIPLIER,
-) -> PhaseCurve:
+def depth_scale_grid(grid, p_base: MeanFieldParams, a: Activation) -> PhaseCurve:
     """Depth scales along an ascending sigma_w^2 grid at fixed (sigma_b^2, rho)."""
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
@@ -79,9 +74,9 @@ def depth_scale_grid(
         cols["chi2"][i] = d.chi2
         cols["xi1"][i] = d.xi1
         cols["xi2"][i] = d.xi2
-    b1 = bound_multiplier * cols["xi1"]
-    b2c = comparison_multiplier * cols["xi2"]
-    b2 = bound_multiplier * cols["xi2"]
+    b1 = BOUND_MULTIPLIER * cols["xi1"]
+    b2c = COMPARISON_MULTIPLIER * cols["xi2"]
+    b2 = BOUND_MULTIPLIER * cols["xi2"]
     return PhaseCurve(
         sigma_w_sq_grid=grid,
         **cols,
@@ -132,11 +127,7 @@ def critical_line(
     return brent_root(f, lo, hi, f_lo, f_hi, tol)[0]
 
 
-def trainable_length(
-    p: MeanFieldParams,
-    a: Activation,
-    bound_multiplier: float = DEFAULT_BOUND_MULTIPLIER,
-) -> float:
-    """min(multiplier*xi1, multiplier*xi2); +inf exactly on a critical point."""
+def trainable_length(p: MeanFieldParams, a: Activation) -> float:
+    """min(12*xi1, 12*xi2); +inf exactly on a critical point."""
     d = depth_scales(p, a)
-    return min(bound_multiplier * d.xi1, bound_multiplier * d.xi2)
+    return min(BOUND_MULTIPLIER * d.xi1, BOUND_MULTIPLIER * d.xi2)

@@ -7,7 +7,6 @@ import pytest
 
 from mfdl.activations import Activation
 from mfdl.errors import ConfigError
-from mfdl.quadrature import make_rule
 
 SMOOTH = (Activation.LINEAR, Activation.TANH, Activation.ERF)
 ODD = (Activation.LINEAR, Activation.TANH, Activation.HARDTANH, Activation.ERF)
@@ -86,17 +85,6 @@ class TestParsing:
     def test_unknown_rejected(self, name):
         with pytest.raises(ConfigError):
             Activation.parse(name)
-
-
-def test_no_node_lands_on_kinks():
-    """Non-differentiable points are measure zero: no scaled quadrature node
-    hits z = 0 (ReLU) or sqrt(q) z = +-1 (HardTanh) for even orders, so the
-    subgradient choice cannot affect any integral."""
-    for order in (32, 64, 128):
-        nodes = make_rule(order).nodes
-        assert not np.any(nodes == 0.0)
-        for q in (0.01, 0.5, 1.0, 2.0, 25.0):
-            assert not np.any(np.abs(math.sqrt(q) * nodes) == 1.0)
 
 
 def test_homogeneity_flags():

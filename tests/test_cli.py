@@ -263,6 +263,8 @@ class TestRecipeFields:
          ("critical-line", "out"), ("critical-line", "header_timestamp"),
          ("fixed-point", "seed"), ("fixed-point", "threads"),
          ("fixed-point", "out"), ("fixed-point", "header_timestamp"),
+         # the CSV columns b12xi1, b6xi2 and b12xi2 name their factors
+         ("phase", "bound_multiplier"), ("phase", "comparison_multiplier"),
          # the quadrature rule is fixed inside the moments module
          *[(command, "quad_order") for command in RECIPES]],
     )

@@ -12,6 +12,7 @@ from mfdl.activations import Activation
 from mfdl.errors import (
     ConfigError,
     DegenerateStateError,
+    EvaluationError,
     NonConvergenceError,
     NonExponentialDecayError,
 )
@@ -129,6 +130,26 @@ class TestQFixedPoint:
         assert err.value.iterations < 50
         assert 1e11 < err.value.last_iterate <= 1e12
 
+    @pytest.mark.parametrize("eps", [1e-9, 1e-7, 1e-5])
+    def test_tanh_just_above_criticality_vs_mpmath(self, eps):
+        """Without bias and just above sigma_w^2 = 1, Tanh's q* ~ eps/2 rests
+        on phi_sq at q ~ 1e-10, where 1 - E[sech^2] would cancel (q* read
+        6.4e-9 at eps = 1e-9).  Oracle: the root of (1 + eps) E[tanh^2]/q = 1
+        from mpmath's quadrature at 40 digits."""
+        import mpmath
+
+        with mpmath.workdps(40):
+            s = 1 + mpmath.mpf(eps)
+
+            def ratio(q):
+                r = mpmath.sqrt(q)
+                e = 2 * mpmath.quad(lambda z: mpmath.tanh(r * z) ** 2 * mpmath.npdf(z), [0, 1, 4, 10, 40])
+                return s * e / q - 1
+
+            exact = float(mpmath.findroot(ratio, eps / 2))
+        q_star, _ = q_fixed_point(MeanFieldParams(1.0 + eps, 0.0, 1.0), Activation.TANH)
+        assert abs(q_star - exact) <= 1e-12
+
 
 class TestCStep:
     def test_fully_correlated_fixed_at_rho_one(self):
@@ -172,6 +193,26 @@ class TestCStep:
 
         with pytest.raises(DegenerateStateError):
             c_step(s, p, Activation.TANH)
+
+    def test_nan_correlation_rejected(self):
+        with pytest.raises(ConfigError):
+            LengthState(q_aa=1.0, q_bb=1.0, c_ab=float("nan"))
+
+    def test_chaotic_relu_stays_finite_until_overflow(self):
+        """The lengths grow by 1.25 per layer.  The products q_aa * q_bb and
+        qa * qb overflowed at q ~ 1.3e154 (layer ~1590), turning c into 0 and
+        then NaN; c must instead rise monotonically while q is finite, and
+        the step whose lengths overflow must say so as a numerical error."""
+        p = MeanFieldParams(2.5, 0.1, 1.0)
+        s = LengthState(q_aa=1.0, q_bb=1.0, c_ab=0.9)
+        while s.layer < 3000:
+            nxt = c_step(s, p, Activation.RELU)
+            assert math.isfinite(nxt.c_ab) and abs(nxt.c_ab) <= 1.0
+            assert nxt.c_ab >= s.c_ab
+            s = nxt
+        with pytest.raises(EvaluationError, match="layer"):
+            while s.layer < 3200:
+                s = c_step(s, p, Activation.RELU)
 
 
 class TestCFixedPoint:

@@ -9,7 +9,18 @@ from scipy.integrate import quad
 
 from mfdl.activations import Activation
 from mfdl.errors import ConfigError
-from mfdl.moments import _ndtr, _relu_cross_kernel, bvn_cdf, dphi_cross, dphi_sq, phi_cross, phi_sq
+from mfdl.moments import (
+    _GH_NODES,
+    _GH_WEIGHTS,
+    _gh_cross,
+    _ndtr,
+    _relu_cross_kernel,
+    bvn_cdf,
+    dphi_cross,
+    dphi_sq,
+    phi_cross,
+    phi_sq,
+)
 
 _PDF = lambda z: math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
 
@@ -49,8 +60,58 @@ class TestUnivariate:
         with pytest.raises(ConfigError):
             phi_sq(Activation.TANH, -0.1)
 
+    def test_tanh_value_moment_at_small_q_vs_mpmath(self):
+        """phi_sq ~ q - 2q^2 as q -> 0, so 1 - E[sech^2] keeps only an absolute
+        accuracy there (relative error 1.3e-4 at q = 1e-12); the value must
+        stay relatively exact.  Oracle: mpmath's quadrature at 40 digits."""
+        with mpmath.workdps(40):
+            for q in np.geomspace(1e-12, 1.0, 25):
+                s = mpmath.sqrt(q)
+                exact = 2 * mpmath.quad(lambda z: mpmath.tanh(s * z) ** 2 * mpmath.npdf(z), [0, 1, 4, 10, 40])
+                got = phi_sq(Activation.TANH, q)
+                assert abs(got - exact) <= 1e-13 * exact, q
+
+
+class TestGaussHermiteRule:
+    """The 64-node rule of the bivariate Tanh moments, rescaled to N(0, 1)."""
+
+    def test_weights_positive_and_sum_to_one(self):
+        assert np.all(_GH_WEIGHTS > 0.0)
+        assert abs(_GH_WEIGHTS.sum() - 1.0) < 1e-14
+
+    def test_nodes_increasing_and_symmetric(self):
+        assert _GH_NODES.shape == _GH_WEIGHTS.shape == (64,)
+        assert np.all(np.diff(_GH_NODES) > 0.0)
+        np.testing.assert_array_equal(_GH_NODES, -_GH_NODES[::-1])
+        np.testing.assert_array_equal(_GH_WEIGHTS, _GH_WEIGHTS[::-1])
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_even_moments_exact(self, k):
+        """E[z^2k] = (2k - 1)!!; odd moments vanish by the symmetry."""
+        exact = math.prod(range(2 * k - 1, 0, -2))
+        assert abs(np.dot(_GH_WEIGHTS, _GH_NODES ** (2 * k)) - exact) <= 1e-13 * exact
+        assert np.dot(_GH_WEIGHTS, _GH_NODES ** (2 * k + 1)) == pytest.approx(0.0, abs=1e-15 * exact)
+
+    def test_arrays_read_only(self):
+        for arr in (_GH_NODES, _GH_WEIGHTS):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("qa,qb,c", [(1.0, 1.0, 0.0), (2.0, 0.7, 0.3), (0.4, 9.0, -0.95)])
+    def test_tensor_rule_exact_on_a_polynomial(self, qa, qb, c):
+        """E[u1 u2] = sqrt(qa qb) c: the correlated tensor sum is exact for
+        Linear, whose integrand is a degree-2 polynomial."""
+        got = _gh_cross(Activation.LINEAR, qa, qb, c, False)
+        assert abs(got - math.sqrt(qa * qb) * c) <= 1e-14
+
 
 class TestBivariate:
+    @pytest.mark.parametrize("c", [1.5, -1.0001, float("nan")])
+    def test_invalid_correlation_rejected(self, c):
+        for f in (phi_cross, dphi_cross):
+            with pytest.raises(ConfigError):
+                f(Activation.TANH, 1.0, 2.0, c)
+
     @pytest.mark.parametrize("act", list(Activation))
     @pytest.mark.parametrize("qa,qb,c", [(1.0, 1.0, 0.3), (2.0, 0.7, 0.9), (0.5, 0.5, -0.6)])
     def test_cross_vs_monte_carlo(self, act, qa, qb, c):
