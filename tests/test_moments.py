@@ -104,6 +104,16 @@ class TestGaussHermiteRule:
         got = _gh_cross(Activation.LINEAR, qa, qb, c, False)
         assert abs(got - math.sqrt(qa * qb) * c) <= 1e-14
 
+    def test_tensor_rule_integrates_a_constant(self):
+        """Linear's derivative is 1, so the sum is the rule's total weight,
+        on the tensor rule and on the one-dimensional |c| = 1 branch."""
+        for c in (-1.0, 0.0, 0.3, 1.0):
+            assert abs(_gh_cross(Activation.LINEAR, 1.3, 0.6, c, True) - 1.0) < 1e-13
+
+    def test_unit_variance_on_the_diagonal(self):
+        """c = 1 takes the one-dimensional branch: E[z z] = 1."""
+        assert abs(_gh_cross(Activation.LINEAR, 1.0, 1.0, 1.0, False) - 1.0) < 1e-12
+
 
 class TestBivariate:
     @pytest.mark.parametrize("c", [1.5, -1.0001, float("nan")])
