@@ -29,7 +29,11 @@ so a new product W v is the part Z Q^T v that is already fixed plus
 |v_perp| (P Y^T u + (I - PP^T) g) with u = v_perp / |v_perp| and N fresh
 normals g (Bolthausen's conditioning, arXiv:1201.2891).  Backward products
 go through the SAME weights as the forward ones, exactly in law, at O(N)
-work and memory per product instead of O(N^2).  weight_std(l) / weight(l)
+work and memory per product instead of O(N^2).  A product does only the
+work its state needs: v is rescaled (by an exact power of two) only when
+its squared norm leaves (1e-200, 1e200), and the projections onto a side
+whose basis is still empty are skipped, as they are on the first forward
+and the first backward product of every layer.  weight_std(l) / weight(l)
 materialize a full matrix from the conditional law of everything revealed
 so far and pin it; later products use that matrix, so "materialize every
 layer first" is the dense small-N oracle of the same engine.
@@ -155,29 +159,40 @@ class _LazyGaussian:
         image), and that side's new (basis, image); other / other_image are
         the opposite side's.
 
-        v is scaled by a power of two first, exactly, so that its squared
-        norm cannot underflow however small the backpropagated errors get.
+        v is scaled by a power of two only when its squared norm leaves
+        (1e-200, 1e200), so that it can neither underflow however small the
+        backpropagated errors get nor overflow.  The scaling is exact, so
+        the bits are those of the unscaled arithmetic.  Projections onto an
+        empty basis are skipped: on the first product of a side v is all
+        perpendicular, and the fresh direction of the first product of the
+        other side is g itself.
         """
-        exp = math.frexp(float(np.abs(v).max()))[1]
-        v = np.ldexp(v, -exp)
-        coef = basis @ v
-        perp = v - coef @ basis
-        fix = basis @ perp  # a second Gram-Schmidt pass keeps the basis orthonormal
-        perp -= fix @ basis
-        coef += fix
-        out = coef @ image
-        norm = math.sqrt(perp @ perp)
-        if norm <= _RANK_TOL * math.sqrt(v @ v):
-            return np.ldexp(out, exp), basis, image
-        u = perp / norm
-        g = self._gen.standard_normal(self._n)
-        w_u = (other_image @ u) @ other + (g - (other @ g) @ other)
-        out += norm * w_u
-        return (
-            np.ldexp(out, exp),
-            np.concatenate((basis, u[None])),
-            np.concatenate((image, w_u[None])),
-        )
+        vv = np.vdot(v, v)  # the bits of v @ v, without an overflow warning
+        exp = 0
+        if not 1e-200 < vv < 1e200:  # outside, scale to max |v| in [1/2, 1)
+            exp = math.frexp(float(np.abs(v).max()))[1]
+            v = np.ldexp(v, -exp)
+            vv = v @ v
+        if len(basis):
+            coef = basis @ v
+            perp = v - coef @ basis
+            fix = basis @ perp  # a second Gram-Schmidt pass keeps the basis orthonormal
+            perp -= fix @ basis
+            coef += fix
+            out = coef @ image
+            norm = math.sqrt(perp @ perp)
+        else:
+            perp, out, norm = v, np.zeros(self._n), math.sqrt(vv)
+        if not norm <= _RANK_TOL * math.sqrt(vv):  # a NaN norm draws too
+            u = perp / norm
+            g = self._gen.standard_normal(self._n)
+            w_u = g
+            if len(other):
+                w_u = (other_image @ u) @ other + (g - (other @ g) @ other)
+            out += norm * w_u
+            basis = np.concatenate((basis, u[None]))
+            image = np.concatenate((image, w_u[None]))
+        return (np.ldexp(out, exp) if exp else out), basis, image
 
     def dense(self) -> np.ndarray:
         """The whole matrix, drawn from the law given what is revealed, pinned."""
@@ -351,27 +366,34 @@ def _backward_many(net: NetworkInstance, traces) -> list[GradientTrace]:
     """Exact backpropagation of E = sum (z^L)^2 for every trace of net.
 
     Reuses each trace's stored masks and goes back through the weights its
-    forward pass revealed, layer by layer and in trace order.
+    forward pass revealed, layer by layer and in trace order.  phi and phi'
+    of a trace's pre-activations are evaluated once, as one (L-1, N) block.
     """
     cfg = net.config
     L, N = cfg.depth_L, cfg.width_N
+    act = cfg.activation
     s_in, inv_rho = _input_scale(cfg), 1.0 / cfg.params.rho
-    grads = [
-        GradientTrace(cfg, net.instance, t.input_id, np.empty((L, N)), np.empty((L, N)), net)
-        for t in traces
-    ]
-    for t, g in zip(traces, grads):
-        g.deltas[L - 1] = 2.0 * t.pre_activations[L - 1]
-        y = t.x
-        for l in range(L):
-            g.input_factors[l] = (t.masks[l] * y) * inv_rho
-            y = cfg.activation.value_at(t.pre_activations[l])
+    grads = []
+    for t in traces:
+        z = t.pre_activations
+        g = GradientTrace(cfg, net.instance, t.input_id, np.empty((L, N)), np.empty((L, N)), net)
+        # input factors (p^l/rho) * y^{l-1}, computed in place; phi'(z^l)
+        # waits in the row of delta^l until the loop below overwrites it
+        f = g.input_factors
+        f[0] = t.x
+        f[1:] = act.value_at(z[:-1])
+        np.multiply(t.masks, f, out=f)
+        f *= inv_rho
+        g.deltas[:-1] = act.derivative_at(z[:-1])
+        g.deltas[L - 1] = 2.0 * z[L - 1]
+        grads.append(g)
     for l in range(L - 1, 0, -1):
         w_std = net._layer(l + 1)
         for t, g in zip(traces, grads):
             back = w_std.rmatvec(g.deltas[l])
-            dphi = cfg.activation.derivative_at(t.pre_activations[l - 1])
-            g.deltas[l - 1] = dphi * (t.masks[l] * back) * s_in
+            d = g.deltas[l - 1]  # phi'(z^l) until this step
+            d *= t.masks[l] * back
+            d *= s_in
     return grads
 
 

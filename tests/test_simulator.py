@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import mfdl.simulator as simulator
 from mfdl.activations import Activation
 from mfdl.errors import ConfigError
 from mfdl.meanfield import MeanFieldParams, depth_scales, q_trajectory
@@ -12,8 +15,10 @@ from mfdl.simulator import (
     METRIC_NAMES,
     ROLE_MASK_A,
     ROLE_MASK_B,
+    ROLE_WEIGHTS,
     NetworkConfig,
     _instance_metrics_many,
+    _LazyGaussian,
     backward,
     ensemble_run,
     ensemble_run_many,
@@ -21,6 +26,7 @@ from mfdl.simulator import (
     gradient_metrics,
     sample_inputs,
     sample_network,
+    stream,
 )
 
 
@@ -160,6 +166,31 @@ class TestBackward:
         gt = backward(net, tr)
         y1 = cfg.activation.value_at(tr.pre_activations[0])
         np.testing.assert_array_equal(gt.input_factors[1], tr.masks[1] * y1 / 0.5)
+
+    @pytest.mark.parametrize("depth", [1, 6])
+    @pytest.mark.parametrize("act", list(Activation))
+    def test_block_activations_equal_row_by_row(self, act, depth):
+        """phi and phi' evaluated on a trace's whole pre-activation block give
+        the bits of the layer-by-layer loop, deltas and input factors both."""
+        cfg = _cfg(depth=depth, width=33, sw2=1.3, rho=0.7, act=act, seed=17)
+        x, _ = sample_inputs(33, 1.2, 0.5, cfg.seed, 2)
+        net = sample_network(cfg, 2)
+        got = backward(net, forward(net, x, ROLE_MASK_A))
+        net = sample_network(cfg, 2)
+        t = forward(net, x, ROLE_MASK_A)
+        L, s_in, inv_rho = depth, math.sqrt(1.3 / 33) / 0.7, 1.0 / 0.7
+        deltas, factors = np.empty((L, 33)), np.empty((L, 33))
+        deltas[L - 1] = 2.0 * t.pre_activations[L - 1]
+        y = t.x
+        for l in range(L):
+            factors[l] = (t.masks[l] * y) * inv_rho
+            y = act.value_at(t.pre_activations[l])
+        for l in range(L - 1, 0, -1):
+            back = net._layer(l + 1).rmatvec(deltas[l])
+            dphi = act.derivative_at(t.pre_activations[l - 1])
+            deltas[l - 1] = dphi * (t.masks[l] * back) * s_in
+        np.testing.assert_array_equal(got.input_factors, factors)
+        np.testing.assert_array_equal(got.deltas, deltas)
 
     def test_trace_network_mismatch_rejected(self):
         cfg = _cfg()
@@ -307,6 +338,139 @@ class TestLazyWeights:
             se = np.sqrt(a.var(axis=0, ddof=1) / n + b.var(axis=0, ddof=1) / n)
             z = (a.mean(axis=0) - b.mean(axis=0)) / se
             assert np.all(np.abs(z) <= 4.0), (m, z)
+
+
+class _ReferenceGaussian(_LazyGaussian):
+    """The conditioning kernel with every step always taken: v scaled to
+    max |v| in [1/2, 1) on every product, and both Gram-Schmidt passes and
+    the other side's projections done on empty bases too."""
+
+    def _reveal(self, v, basis, image, other, other_image):
+        exp = math.frexp(float(np.abs(v).max()))[1]
+        v = np.ldexp(v, -exp)
+        coef = basis @ v
+        perp = v - coef @ basis
+        fix = basis @ perp
+        perp -= fix @ basis
+        coef += fix
+        out = coef @ image
+        norm = math.sqrt(perp @ perp)
+        if norm <= simulator._RANK_TOL * math.sqrt(v @ v):
+            return np.ldexp(out, exp), basis, image
+        u = perp / norm
+        g = self._gen.standard_normal(self._n)
+        w_u = (other_image @ u) @ other + (g - (other @ g) @ other)
+        out += norm * w_u
+        return (
+            np.ldexp(out, exp),
+            np.concatenate((basis, u[None])),
+            np.concatenate((image, w_u[None])),
+        )
+
+
+def _layer_pair(width, cls=_LazyGaussian):
+    """Two fresh layers on the same weight stream: a cls and a kernel one."""
+    return (
+        cls(stream(11, 0, ROLE_WEIGHTS, 1), width),
+        _LazyGaussian(stream(11, 0, ROLE_WEIGHTS, 1), width),
+    )
+
+
+def _ask(layer, side, v):
+    return layer.matvec(v) if side == "f" else layer.rmatvec(v)
+
+
+class TestRevealKernel:
+    """The conditioning kernel skips the work an empty basis or an in-range
+    norm makes moot; its bits equal those of the kernel that always does it."""
+
+    @pytest.mark.parametrize("first", ["f", "b"])
+    @pytest.mark.parametrize("width", [1, 7, 64, 1000])
+    def test_bits_equal_the_reference_kernel(self, width, first):
+        ref, lean = _layer_pair(width, _ReferenceGaussian)
+        rng = np.random.default_rng(width)
+        v_a, v_b, d_a, d_b = rng.standard_normal((4, width))
+        zero = np.zeros(width)
+        steps = [
+            ("f", zero),  # zero on an empty side: exact zeros, nothing drawn
+            ("b", zero),
+            ("f", v_a),  # first product, both sides empty
+            ("f", v_a),  # v_b = v_a: the rank drop
+            ("b", 1e-30 * d_a),  # first product of the other side, tiny but in range
+            ("f", zero),  # zero on a non-empty side
+            ("b", np.ldexp(d_b, -700)),  # squared norm underflows: rescaled
+            ("f", -2.5 * v_a + 1e-3 * v_b),
+            ("b", np.ldexp(3.0 * d_a - d_b, 700)),  # squared norm overflows: rescaled
+            ("b", zero),
+            ("f", v_b),
+        ]
+        flip = {"f": "b", "b": "f"}
+        for k, (side, v) in enumerate(steps):
+            side = side if first == "f" else flip[side]
+            got, want = _ask(lean, side, v), _ask(ref, side, v)
+            np.testing.assert_array_equal(got, want, err_msg=f"step {k}")
+            if k < 2:
+                assert not np.any(got) and len(lean._q) == len(lean._p) == 0
+            for name in ("_q", "_z", "_p", "_y"):
+                np.testing.assert_array_equal(getattr(lean, name), getattr(ref, name))
+        np.testing.assert_array_equal(lean.dense(), ref.dense())
+        np.testing.assert_array_equal(lean._gen.standard_normal(3), ref._gen.standard_normal(3))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        e=st.integers(-900, 900),
+        width=st.sampled_from([1, 5, 64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(e=0, width=64, seed=0)
+    @example(e=-330, width=64, seed=0)
+    @example(e=330, width=64, seed=0)
+    def test_power_of_two_equivariance(self, e, width, seed):
+        """A product with v * 2^e is the product with v, times 2^e, bit for
+        bit, on the first and second product of each side, whether or not
+        either vector's squared norm is in the range used unscaled."""
+        scaled, plain = _layer_pair(width)
+        vs = np.random.default_rng(seed).standard_normal((4, width))
+        for side, v in zip("ffbb", vs):
+            np.testing.assert_array_equal(
+                _ask(scaled, side, np.ldexp(v, e)), np.ldexp(_ask(plain, side, v), e)
+            )
+
+
+class _DrawsOnly:
+    """A generator with only the draws a traced benchmark run proxies:
+    standard_normal and random, with one positional size."""
+
+    def __init__(self, gen):
+        self._gen = gen
+
+    def standard_normal(self, size):
+        return self._gen.standard_normal(size)
+
+    def random(self, size):
+        return self._gen.random(size)
+
+
+def test_simulator_draws_only_proxied_calls(monkeypatch):
+    """The ensemble draws through stream() only as standard_normal(size) and
+    random(size), the calls a tracing proxy of the generator forwards."""
+    cfgs = [
+        _cfg(depth=5, width=32, rho=1.0, act=Activation.TANH, seed=3),
+        _cfg(depth=4, width=17, sw2=1.3, rho=0.6, act=Activation.ERF, seed=3),
+    ]
+
+    def run():
+        return ensemble_run_many(cfgs, 3, c0=0.4, metrics=METRIC_NAMES, q0s=[1.0, 0.8])
+
+    want = run()
+    real_stream = simulator.stream
+    monkeypatch.setattr(simulator, "stream", lambda *key: _DrawsOnly(real_stream(*key)))
+    for got_cfg, want_cfg in zip(run(), want):
+        for m in METRIC_NAMES:
+            np.testing.assert_array_equal(got_cfg[m].per_layer_mean, want_cfg[m].per_layer_mean)
+            np.testing.assert_array_equal(
+                got_cfg[m].per_layer_variance, want_cfg[m].per_layer_variance
+            )
 
 
 class TestGradientMetrics:
