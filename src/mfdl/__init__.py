@@ -15,19 +15,12 @@ from .errors import (
     EvaluationError,
     MfdlError,
     NonConvergenceError,
-    NonExponentialDecayError,
 )
-from .linear_theory import (
-    appendix_layer_oracle,
-    g_aa_closed,
-    g_ab_closed,
-    independence_baseline,
-)
+from .linear_theory import g_aa_closed, g_ab_closed, independence_baseline
 from .meanfield import (
     DepthScales,
     LengthState,
     MeanFieldParams,
-    c_convergence_rate,
     c_fixed_point,
     c_step,
     c_trajectory,
@@ -39,7 +32,7 @@ from .meanfield import (
     q_trajectory,
     xi_from_chi,
 )
-from .phase import PhaseCurve, critical_line, depth_scale_grid, trainable_length
+from .phase import PhaseCurve, critical_line, depth_scale_grid
 from .simulator import (
     EnsembleStats,
     ForwardTrace,
@@ -47,7 +40,6 @@ from .simulator import (
     NetworkConfig,
     NetworkInstance,
     backward,
-    ensemble_run,
     ensemble_run_many,
     forward,
     gradient_metrics,
@@ -73,12 +65,9 @@ __all__ = [
     "NetworkConfig",
     "NetworkInstance",
     "NonConvergenceError",
-    "NonExponentialDecayError",
     "PhaseCurve",
     "PowerLawFit",
-    "appendix_layer_oracle",
     "backward",
-    "c_convergence_rate",
     "c_fixed_point",
     "c_step",
     "c_trajectory",
@@ -87,7 +76,6 @@ __all__ = [
     "critical_line",
     "depth_scale_grid",
     "depth_scales",
-    "ensemble_run",
     "ensemble_run_many",
     "fit_power_law",
     "forward",
@@ -100,7 +88,6 @@ __all__ = [
     "q_trajectory",
     "sample_inputs",
     "sample_network",
-    "trainable_length",
     "universality_report",
     "xi_from_chi",
 ]

@@ -83,7 +83,3 @@ class Activation(enum.Enum):
         where the length map diverges.
         """
         return self in (Activation.LINEAR, Activation.RELU)
-
-    @property
-    def bounded(self) -> bool:
-        return self in (Activation.TANH, Activation.HARDTANH, Activation.ERF)

@@ -52,7 +52,6 @@ from .simulator import (
     ROLE_MASK_B,
     NetworkConfig,
     backward,
-    default_q0,
     ensemble_run_many,
     forward,
     gradient_metrics,
@@ -289,7 +288,8 @@ def cmd_gradsim(cfg: dict) -> dict:
     if n_inst < 1:
         raise ConfigError(f"instances must be >= 1, got {n_inst}")
     net_cfg = NetworkConfig(depth, width, p, act, seed=_get(cfg, "seed", int))
-    q0 = _get(cfg, "q0") if cfg["q0"] is not None else default_q0(net_cfg)
+    d = depth_scales(p, act)  # before the ensemble: a divergent length map ends the run here
+    q0 = _get(cfg, "q0") if cfg["q0"] is not None else d.q_star
     c0 = _get(cfg, "c0")
 
     _progress(f"gradsim: {act.value} L={depth} N={width} x {n_inst} instances")
@@ -308,7 +308,6 @@ def cmd_gradsim(cfg: dict) -> dict:
         means = gradient_metrics(backward(net, t_a), backward(net, t_b))
         errs = {m: [None] * depth for m in _GRAD_METRICS}  # stderr undefined at n=1
 
-    d = depth_scales(p, act)
     q_ab_star = d.c_star * d.q_star
     is_linear = act is Activation.LINEAR
     base_aa = float(means["g_aa"][depth - 1])

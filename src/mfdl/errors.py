@@ -35,7 +35,3 @@ class NonConvergenceError(MfdlError):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.iterations = iterations
-
-
-class NonExponentialDecayError(MfdlError):
-    """A trajectory shows no exponential decay, so a rate fit is meaningless."""

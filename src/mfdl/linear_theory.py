@@ -8,8 +8,8 @@ point.  With n = L - l, A = sigma_w^2/rho and r = sigma_w^2/rho^2:
     g_ab^l = 4 (q*_ab)^2    (sigma_w^2)^n [1  + sum_{j=1}^n r^j]
 
 The empty sum at l = L is zero.  The layerwise derivation also produces
-explicit expressions for the last three layers; those are coded here
-independently of the induction form and serve as internal oracles.
+explicit expressions for the last three layers; the tests code those
+independently of the induction form and check these forms against them.
 
 The geometric brackets grow without bound when their ratio exceeds 1
 (e.g. r > 1 under strong dropout), so for deep offsets the evaluation
@@ -89,46 +89,6 @@ def g_ab_closed(l: int, L: int, p: MeanFieldParams, q_ab_star: float) -> float:
         return 0.0
     r = p.sigma_w_sq / p.rho**2
     return 4.0 * q_ab_star**2 * _bracketed_power(p.sigma_w_sq, n, 1.0, r)
-
-
-def delta_moment_explicit(k: int, which: str, p: MeanFieldParams, q_star: float) -> float:
-    """Per-unit backpropagated second moment at layer L-k, written out longhand.
-
-    These are the explicitly derived last-three-layer expressions (k = 0, 1,
-    2), intentionally free of loops and shared helpers so they can serve as
-    an independent oracle for the induction forms.
-    """
-    if k not in (0, 1, 2):
-        raise ConfigError(f"explicit expressions exist only for k in {{0,1,2}}, got {k}")
-    if which == "aa":
-        A = p.sigma_w_sq / p.rho
-        if k == 0:
-            return 4.0 * q_star
-        if k == 1:
-            return 4.0 * (q_star / p.rho) * A * (p.rho + A)
-        return 4.0 * (q_star / p.rho) * A * A * (p.rho + A + A * A)
-    if which == "ab":
-        B = p.sigma_w_sq
-        r = p.sigma_w_sq / p.rho**2
-        if k == 0:
-            return 4.0 * q_star
-        if k == 1:
-            return 4.0 * q_star * B * (1.0 + r)
-        return 4.0 * q_star * B * B * (1.0 + r + r * r)
-    raise ConfigError(f"which must be 'aa' or 'ab', got {which!r}")
-
-
-def appendix_layer_oracle(k: int, which: str, p: MeanFieldParams, q_star: float) -> float:
-    """Gradient metric at layer L-k from the explicit layerwise expressions.
-
-    The weight-gradient prefactor (q*/rho for a single input, q*_ab for a
-    pair) converts the per-unit moment into the full metric; the result must
-    agree with the closed induction forms at l = L-k.  For which='ab' the
-    q_star argument is the cross fixed point q*_ab.
-    """
-    moment = delta_moment_explicit(k, which, p, q_star)
-    prefactor = (q_star / p.rho) if which == "aa" else q_star
-    return prefactor * moment
 
 
 def independence_baseline(

@@ -39,11 +39,11 @@ from itertools import count, takewhile
 import numpy as np
 
 from .activations import Activation
-from .errors import ConfigError, DegenerateStateError, EvaluationError, NonConvergenceError, NonExponentialDecayError
+from .errors import ConfigError, DegenerateStateError, EvaluationError, NonConvergenceError
 from .moments import dphi_cross, dphi_sq, phi_cross, phi_sq
 
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 10_000
+_FIXED_POINT_TOL = 1e-12  # every fixed point is solved to this absolute tolerance
+_BRENT_MAX_EVALS = 10_000
 
 _EPS = np.finfo(np.float64).eps
 
@@ -114,7 +114,6 @@ def q_fixed_point(
     p: MeanFieldParams,
     a: Activation,
     q0: float = 1.0,
-    tol: float = DEFAULT_TOL,
 ) -> tuple[float, int]:
     """Fixed point q* of the length map that iteration from q0 reaches, and
     the map evaluations spent; the checkpoints double or halve q0.
@@ -125,17 +124,13 @@ def q_fixed_point(
     """
     if q0 <= 0.0:
         raise ConfigError(f"q0 must be > 0, got {q0!r}")
-    if tol <= 0.0:
-        raise ConfigError(f"tol must be > 0, got {tol!r}")
 
     def walk(s):
         if s < 0.0:  # the halvings underflow to the end 0.0 before k = 1100
             return 0.0, (q0 * 0.5**k for k in range(1, 1100))
         return None, takewhile(lambda q: q <= _Q_DIVERGENCE_CAP, (q0 * 2.0**k for k in count(1)))
 
-    return _walk_to_fixed_point(
-        lambda q: q_step(q, p, a), q0, walk, lambda q: chi1(q, p, a), tol
-    )
+    return _walk_to_fixed_point(lambda q: q_step(q, p, a), q0, walk, lambda q: chi1(q, p, a))
 
 
 def c_step(s: LengthState, p: MeanFieldParams, a: Activation) -> LengthState:
@@ -179,17 +174,18 @@ def _c_map_at_fixed_point(p, a, q_star):
     return m
 
 
-def brent_root(f, a, b, fa, fb, tol, max_iter=DEFAULT_MAX_ITER):
+def brent_root(f, a, b, fa, fb, tol):
     """Root of f between a and b, given fa = f(a) and fb = f(b) of opposite
     sign (or one of them 0), by Brent's method.
 
     Inverse quadratic or secant steps are taken while they shrink the
     bracket fast enough, bisection otherwise.  Returns (root, evaluations
     of f); the root lies within tol + 4 eps |root| of a sign change of f.
+    More than _BRENT_MAX_EVALS evaluations raise NonConvergenceError.
     """
     c, fc = b, fb
     d = e = b - a
-    for evals in range(max_iter + 1):
+    for evals in range(_BRENT_MAX_EVALS + 1):
         if (fb > 0.0 and fc > 0.0) or (fb < 0.0 and fc < 0.0):
             c, fc = a, fa
             d = e = b - a
@@ -221,13 +217,13 @@ def brent_root(f, a, b, fa, fb, tol, max_iter=DEFAULT_MAX_ITER):
         b += d if abs(d) > tol1 else math.copysign(tol1, xm)
         fb = f(b)
     raise NonConvergenceError(
-        f"root finder did not converge within {max_iter} evaluations (last x = {b!r})",
+        f"root finder did not converge within {_BRENT_MAX_EVALS} evaluations (last x = {b!r})",
         last_iterate=b,
-        iterations=max_iter,
+        iterations=_BRENT_MAX_EVALS,
     )
 
 
-def _walk_to_fixed_point(m, x0, walk, slope, tol):
+def _walk_to_fixed_point(m, x0, walk, slope):
     """The fixed point of the nondecreasing map m that iteration from x0
     reaches, and the evaluations of m spent on it.
 
@@ -238,7 +234,7 @@ def _walk_to_fixed_point(m, x0, walk, slope, tol):
     returned exactly.  No sign change and no end: NonConvergenceError.
     """
     m0 = m(x0)
-    if abs(m0 - x0) < tol:
+    if abs(m0 - x0) < _FIXED_POINT_TOL:
         return m0, 1
     s = math.copysign(1.0, m0 - x0)
     end, checkpoints = walk(s)
@@ -264,7 +260,7 @@ def _walk_to_fixed_point(m, x0, walk, slope, tol):
                 last_iterate=lo, iterations=evals,
             )
         t, g_t = end, g_end
-    root, n = brent_root(lambda x: m(x) - x, lo, t, g_lo, g_t, tol)
+    root, n = brent_root(lambda x: m(x) - x, lo, t, g_lo, g_t, _FIXED_POINT_TOL)
     return root, evals + n
 
 
@@ -282,15 +278,15 @@ def _correlation_walk(s):
     return s, (s - s * 0.5**j for j in range(54))
 
 
-def _solve_c(p, a, q_star, c0, tol):
+def _solve_c(p, a, q_star, c0):
     """c* of the correlation map at q* from c0, and the map evaluations spent."""
     return _walk_to_fixed_point(
         _c_map_at_fixed_point(p, a, q_star), c0, _correlation_walk,
-        lambda c: chi2(q_star, c, p, a), tol,
+        lambda c: chi2(q_star, c, p, a),
     )
 
 
-def _solve_scale_free_c(p, a, c0, q0, tol):
+def _solve_scale_free_c(p, a, c0, q0):
     """c* of Linear or ReLU where the lengths diverge.
 
     As q -> inf the bias drops out and the correlation map tends to
@@ -305,7 +301,7 @@ def _solve_scale_free_c(p, a, c0, q0, tol):
     k = p.rho / phi_sq(a, 1.0)
     return _walk_to_fixed_point(
         lambda c: k * phi_cross(a, 1.0, 1.0, c), c0, _correlation_walk,
-        lambda c: k * dphi_cross(a, 1.0, 1.0, c), tol,
+        lambda c: k * dphi_cross(a, 1.0, 1.0, c),
     )
 
 
@@ -313,7 +309,6 @@ def c_fixed_point(
     p: MeanFieldParams,
     a: Activation,
     c0: float = 0.9,
-    tol: float = DEFAULT_TOL,
     q0: float = 1.0,
 ) -> tuple[float, int]:
     """Fixed point c* of the correlation map, and the map evaluations spent.
@@ -326,12 +321,12 @@ def c_fixed_point(
     if not (-1.0 < c0 < 1.0):
         raise ConfigError(f"c0 must lie in (-1, 1), got {c0!r}")
     try:
-        q_star, _ = q_fixed_point(p, a, q0=q0, tol=tol)
+        q_star, _ = q_fixed_point(p, a, q0=q0)
     except NonConvergenceError:
         if not a.positively_homogeneous:
             raise
-        return _solve_scale_free_c(p, a, c0, q0, tol)
-    return _solve_c(p, a, q_star, c0, tol)
+        return _solve_scale_free_c(p, a, c0, q0)
+    return _solve_c(p, a, q_star, c0)
 
 
 def chi1(q_star: float, p: MeanFieldParams, a: Activation) -> float:
@@ -384,7 +379,6 @@ def depth_scales(
     a: Activation,
     q0: float = 1.0,
     c0: float = 0.9,
-    tol: float = DEFAULT_TOL,
 ) -> DepthScales:
     """Bundle (q*, c*, chi1, chi2, xi1, xi2) for one hyperparameter point.
 
@@ -392,8 +386,8 @@ def depth_scales(
     the degenerate bivariate moments apply and chi2 = chi1 holds to machine
     precision.
     """
-    q_star, q_evals = q_fixed_point(p, a, q0=q0, tol=tol)
-    c_star, c_evals = _solve_c(p, a, q_star, c0, tol)
+    q_star, q_evals = q_fixed_point(p, a, q0=q0)
+    c_star, c_evals = _solve_c(p, a, q_star, c0)
     x1 = chi1(q_star, p, a)
     x2 = chi2(q_star, c_star, p, a)
     return DepthScales(
@@ -457,47 +451,3 @@ def c_trajectory(
         s = c_step(s, p, a)
         qs[l], cs[l] = s.q_aa, s.c_ab
     return qs, cs
-
-
-def c_convergence_rate(
-    p: MeanFieldParams,
-    a: Activation,
-    c0: float = 0.5,
-    layers: int = 200,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """Empirical depth scale of |c^l - c*| from the recursion itself.
-
-    Runs the correlation map at q*, fits ln|c^l - c*| against l by least
-    squares over the asymptotic tail (first 20% of layers and near-floor
-    points discarded), and returns -1/slope.  A non-decaying trajectory
-    raises NonExponentialDecayError.
-    """
-    if layers < 10:
-        raise ConfigError("layers must be >= 10 for a rate fit")
-    q_star, _ = q_fixed_point(p, a, tol=tol)
-    c_star, _ = _solve_c(p, a, q_star, c0, tol)
-    m = _c_map_at_fixed_point(p, a, q_star)
-    cs = np.empty(layers)
-    c = float(c0)
-    for l in range(layers):
-        c = m(c)
-        cs[l] = c
-    dist = np.abs(cs - c_star)
-    floor = np.nonzero(dist < 1e-14)[0]
-    end = int(floor[0]) if floor.size else layers
-    start = max(int(math.ceil(0.2 * layers)), 0)
-    ls = np.arange(1, layers + 1, dtype=float)[start:end]
-    ds = dist[start:end]
-    keep = ds > 1e-12
-    ls, ds = ls[keep], ds[keep]
-    if ls.size < 3:
-        raise NonExponentialDecayError(
-            "too few usable points in the decay tail to fit a rate"
-        )
-    slope, _ = np.polyfit(ls, np.log(ds), 1)
-    if not slope < 0.0:
-        raise NonExponentialDecayError(
-            f"trajectory does not decay exponentially (fit slope {slope:.3e} >= 0)"
-        )
-    return -1.0 / slope

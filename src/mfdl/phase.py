@@ -9,7 +9,6 @@ minimum of the two 12-xi curves.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,6 +20,8 @@ from .meanfield import MeanFieldParams, brent_root, chi1_at_fixed_point, depth_s
 # the factors named in the PhaseCurve fields and CSV columns (b12xi1, b6xi2, b12xi2)
 BOUND_MULTIPLIER = 12.0
 COMPARISON_MULTIPLIER = 6.0
+
+_CRITICAL_TOL = 1e-10  # absolute tolerance of the critical sigma_w^2
 
 
 @dataclass(frozen=True)
@@ -101,9 +102,8 @@ def critical_line(
     p_base: MeanFieldParams,
     a: Activation,
     bracket: tuple[float, float],
-    tol: float = 1e-10,
 ) -> float:
-    """Weight variance where chi1 crosses 1, to within tol.
+    """Weight variance where chi1 crosses 1, to within _CRITICAL_TOL.
 
     The root of chi1 - 1 in the bracket is found by Brent's method
     (`brent_root`).  The length fixed point is re-solved at every trial
@@ -124,10 +124,4 @@ def critical_line(
             f"bracket does not straddle chi1 = 1: chi1(lo) = {f_lo + 1.0:.6g}, "
             f"chi1(hi) = {f_hi + 1.0:.6g}"
         )
-    return brent_root(f, lo, hi, f_lo, f_hi, tol)[0]
-
-
-def trainable_length(p: MeanFieldParams, a: Activation) -> float:
-    """min(12*xi1, 12*xi2); +inf exactly on a critical point."""
-    d = depth_scales(p, a)
-    return min(BOUND_MULTIPLIER * d.xi1, BOUND_MULTIPLIER * d.xi2)
+    return brent_root(f, lo, hi, f_lo, f_hi, _CRITICAL_TOL)[0]

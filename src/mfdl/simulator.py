@@ -58,7 +58,7 @@ primitives.  Consequences:
     the same bits;
   * every config of a multi-config ensemble samples its own networks, so a
     config's results do not depend on the other configs of the call and
-    equal a separate ensemble_run bit for bit;
+    equal a call with that config alone bit for bit;
   * a layer keeps two N-vectors per product that revealed a new direction
     (at most eight for an ensemble instance; N^2 numbers once its weights
     are materialized), so L*N^2 weights are never stored or generated.
@@ -297,9 +297,6 @@ def sample_inputs(
 class ForwardTrace:
     """Per-layer pre-activations and the dropout masks drawn for one input."""
 
-    config: NetworkConfig
-    instance: int
-    input_id: str
     x: np.ndarray
     pre_activations: np.ndarray = field(repr=False)  # (L, N)
     masks: np.ndarray = field(repr=False)  # (L, N) bool
@@ -314,16 +311,14 @@ class GradientTrace:
     weight_grad(l) materializes it (O(N^2), meant for small networks).
     """
 
-    config: NetworkConfig
-    instance: int
-    input_id: str
     deltas: np.ndarray = field(repr=False)  # (L, N)
     input_factors: np.ndarray = field(repr=False)  # (L, N): (p^l/rho) * y^{l-1}
     network: NetworkInstance = field(repr=False, compare=False)
 
     def weight_grad(self, layer: int) -> np.ndarray:
-        if not (1 <= layer <= self.config.depth_L):
-            raise ConfigError(f"layer must be in [1, {self.config.depth_L}], got {layer}")
+        L = self.network.config.depth_L
+        if not (1 <= layer <= L):
+            raise ConfigError(f"layer must be in [1, {L}], got {layer}")
         return np.outer(self.deltas[layer - 1], self.input_factors[layer - 1])
 
 
@@ -337,7 +332,7 @@ def _input_scale(cfg: NetworkConfig) -> float:
 
 
 def _forward_many(net: NetworkInstance, jobs) -> list[ForwardTrace]:
-    """Forward passes of (x, masks, input_id) jobs through net.
+    """Forward passes of (x, masks) jobs through net.
 
     Layer by layer, each job's input is multiplied by the layer's weights in
     job order: z = W_std v + sigma_b * bias_std with v = (mask * y) * s_in,
@@ -348,10 +343,7 @@ def _forward_many(net: NetworkInstance, jobs) -> list[ForwardTrace]:
     L, N = cfg.depth_L, cfg.width_N
     s_in, sb = _input_scale(cfg), math.sqrt(cfg.params.sigma_b_sq)
     bias_std = net.bias_std_block()
-    traces = [
-        ForwardTrace(cfg, net.instance, input_id, x, np.empty((L, N)), masks, net)
-        for x, masks, input_id in jobs
-    ]
+    traces = [ForwardTrace(x, np.empty((L, N)), masks, net) for x, masks in jobs]
     ys = [t.x for t in traces]
     for l in range(1, L + 1):
         w_std = net._layer(l)
@@ -376,7 +368,7 @@ def _backward_many(net: NetworkInstance, traces) -> list[GradientTrace]:
     grads = []
     for t in traces:
         z = t.pre_activations
-        g = GradientTrace(cfg, net.instance, t.input_id, np.empty((L, N)), np.empty((L, N)), net)
+        g = GradientTrace(np.empty((L, N)), np.empty((L, N)), net)
         # input factors (p^l/rho) * y^{l-1}, computed in place; phi'(z^l)
         # waits in the row of delta^l until the loop below overwrites it
         f = g.input_factors
@@ -408,8 +400,7 @@ def forward(net: NetworkInstance, x: np.ndarray, mask_role: int) -> ForwardTrace
     if x.shape != (cfg.width_N,):
         raise ConfigError(f"input must have shape ({cfg.width_N},), got {x.shape}")
     masks = _mask_uniforms(cfg, net.instance, mask_role) < cfg.params.rho
-    input_id = {ROLE_MASK_A: "a", ROLE_MASK_B: "b"}.get(mask_role, str(mask_role))
-    return _forward_many(net, [(x, masks, input_id)])[0]
+    return _forward_many(net, [(x, masks)])[0]
 
 
 def backward(net: NetworkInstance, trace: ForwardTrace) -> GradientTrace:
@@ -437,7 +428,7 @@ def gradient_metrics(ga: GradientTrace, gb: GradientTrace) -> dict[str, np.ndarr
     """
     if ga.network is not gb.network:
         raise ConfigError("gradient traces come from different network instances")
-    n_sq = float(ga.config.width_N) ** 2
+    n_sq = float(ga.network.config.width_N) ** 2
     da, db = ga.deltas, gb.deltas
     va, vb = ga.input_factors, gb.input_factors
     g_aa = np.einsum("li,li->l", da, da) * np.einsum("li,li->l", va, va) / n_sq
@@ -454,7 +445,6 @@ def gradient_metrics(ga: GradientTrace, gb: GradientTrace) -> dict[str, np.ndarr
 class EnsembleStats:
     """Per-layer mean/variance/stderr of one metric over instances."""
 
-    metric_name: str
     per_layer_mean: np.ndarray
     per_layer_variance: np.ndarray
     per_layer_stderr: np.ndarray
@@ -488,8 +478,8 @@ def _instance_metrics_many(configs, instance, c0, q0s, metrics):
         # q_aa alone ignores c0; c0 = 1 keeps width 1 valid for it
         inputs = sample_inputs(N, q0, c0 if pair else 1.0, cfg.seed, instance)
         jobs = [
-            (x, _mask_uniforms(cfg, instance, role) < cfg.params.rho, i)
-            for x, role, i in zip(inputs, roles, "ab")
+            (x, _mask_uniforms(cfg, instance, role) < cfg.params.rho)
+            for x, role in zip(inputs, roles)
         ]
         traces = _forward_many(net, jobs)
         z_a, z_b = traces[0].pre_activations, traces[-1].pre_activations  # without a pair, b is a
@@ -525,11 +515,10 @@ def ensemble_run_many(
     q0s: list[float] | None = None,
     threads: int = 1,
 ) -> list[dict[str, EnsembleStats]]:
-    """Ensemble statistics for several configs.
+    """Ensemble statistics for several configs, one dict per config.
 
     Every config samples its own networks (see module docstring), so the
-    results are bit-identical to running each config through ensemble_run
-    separately.
+    results are bit-identical to a separate one-config call per config.
     """
     if not configs:
         raise ConfigError("at least one config is required")
@@ -560,7 +549,6 @@ def ensemble_run_many(
             mean = data.mean(axis=0)
             var = data.var(axis=0, ddof=1)
             stats[m] = EnsembleStats(
-                metric_name=m,
                 per_layer_mean=mean,
                 per_layer_variance=var,
                 per_layer_stderr=np.sqrt(var / n_instances),
@@ -568,16 +556,3 @@ def ensemble_run_many(
             )
         results.append(stats)
     return results
-
-
-def ensemble_run(
-    cfg: NetworkConfig,
-    n_instances: int,
-    c0: float = 0.9,
-    metrics=("q_aa",),
-    q0: float | None = None,
-    threads: int = 1,
-) -> dict[str, EnsembleStats]:
-    """Ensemble statistics for one config; see ensemble_run_many."""
-    q0s = None if q0 is None else [q0]
-    return ensemble_run_many([cfg], n_instances, c0=c0, metrics=metrics, q0s=q0s, threads=threads)[0]

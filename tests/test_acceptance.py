@@ -19,7 +19,7 @@ import pytest
 
 from mfdl.activations import Activation
 from mfdl.cli import EXIT_OK, main
-from mfdl.linear_theory import appendix_layer_oracle, g_aa_closed, g_ab_closed
+from mfdl.linear_theory import g_aa_closed, g_ab_closed
 from mfdl.meanfield import (
     MeanFieldParams,
     c_fixed_point,
@@ -37,6 +37,7 @@ from mfdl.simulator import (
     sample_network,
 )
 from mfdl.universality import universality_report
+from oracles import appendix_layer_oracle
 
 
 def _report(criterion, detail):

@@ -91,5 +91,3 @@ def test_homogeneity_flags():
     assert Activation.LINEAR.positively_homogeneous
     assert Activation.RELU.positively_homogeneous
     assert not Activation.TANH.positively_homogeneous
-    assert Activation.TANH.bounded and Activation.ERF.bounded
-    assert not Activation.LINEAR.bounded

@@ -159,6 +159,23 @@ class TestGradsim:
         i_col = cols.index("g_aa_mean")
         assert [r[i_col] for r in rows] == [_fmt(v) for v in want["g_aa"]]
 
+    def test_divergent_length_map_fails_before_simulating(self, tmp_path, capsys, monkeypatch):
+        """With q0 given and no length fixed point, the run ends with exit 2
+        before any instance is simulated."""
+        import mfdl.cli as cli
+
+        def no_ensemble(*args, **kwargs):
+            raise AssertionError("the ensemble ran before the theory failed")
+
+        monkeypatch.setattr(cli, "ensemble_run_many", no_ensemble)
+        fields = {"activation": "linear", "sigma_w_sq": 1.5, "sigma_b_sq": 0.1, "rho": 1.0,
+                  "depth": 200, "width": 2000, "instances": 20, "q0": 1.0}
+        rc = main(["gradsim", "--config", _write_cfg(tmp_path, "c.json", fields),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_NUMERICAL
+        assert "non-convergence" in capsys.readouterr().err
+        assert not (tmp_path / "gradsim.csv").exists()
+
     @pytest.mark.parametrize("instances", ["0", "-3"])
     def test_nonpositive_instances_is_usage_error(self, tmp_path, capsys, instances):
         cfg = _write_cfg(tmp_path, "c.json", {"depth": 3, "width": 8})

@@ -1,4 +1,4 @@
-"""Closed-form linear-network gradient metrics and their internal oracles."""
+"""Closed-form linear-network gradient metrics and their explicit oracles."""
 
 import math
 
@@ -6,14 +6,9 @@ import numpy as np
 import pytest
 
 from mfdl.errors import ConfigError
-from mfdl.linear_theory import (
-    appendix_layer_oracle,
-    delta_moment_explicit,
-    g_aa_closed,
-    g_ab_closed,
-    independence_baseline,
-)
+from mfdl.linear_theory import g_aa_closed, g_ab_closed, independence_baseline
 from mfdl.meanfield import MeanFieldParams
+from oracles import appendix_layer_oracle, delta_moment_explicit
 
 
 class TestGaaClosed:

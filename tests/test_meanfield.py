@@ -14,14 +14,12 @@ from mfdl.errors import (
     DegenerateStateError,
     EvaluationError,
     NonConvergenceError,
-    NonExponentialDecayError,
 )
 from mfdl.meanfield import (
     DepthScales,
     LengthState,
     MeanFieldParams,
     brent_root,
-    c_convergence_rate,
     c_fixed_point,
     c_step,
     c_trajectory,
@@ -35,6 +33,7 @@ from mfdl.meanfield import (
     xi_from_chi,
 )
 from mfdl.moments import phi_cross
+from oracles import NonExponentialDecayError, c_convergence_rate
 
 
 class TestParams:
@@ -101,7 +100,7 @@ class TestQFixedPoint:
         for act in (Activation.TANH, Activation.RELU, Activation.ERF):
             p = MeanFieldParams(1.2, 0.3, 0.8)
             vals = [
-                q_fixed_point(p, act, q0=q0, tol=tol)[0] for q0 in (0.1, 1.0, 10.0)
+                q_fixed_point(p, act, q0=q0)[0] for q0 in (0.1, 1.0, 10.0)
             ]
             assert max(vals) - min(vals) < 10 * tol
 
@@ -398,7 +397,7 @@ def test_q_star_solves_length_map(act, sw2, sb2, rho, q0):
     p = MeanFieldParams(sw2, sb2, rho)
     tol = 1e-12
     try:
-        q_star, _ = q_fixed_point(p, act, q0=q0, tol=tol)
+        q_star, _ = q_fixed_point(p, act, q0=q0)
     except NonConvergenceError:
         assume(False)
     assert abs(q_step(q_star, p, act) - q_star) <= 10 * tol * max(1.0, q_star)
@@ -445,6 +444,17 @@ class TestBrentRoot:
         f = lambda x: x * x - 1.0
         assert brent_root(f, 0.0, 1.0, f(0.0), 0.0, 1e-12) == (1.0, 0)
         assert brent_root(f, 1.0, 3.0, 0.0, f(3.0), 1e-12) == (1.0, 0)
+
+    def test_evaluation_cap(self, monkeypatch):
+        """Out of evaluations, the finder raises with the count and last x."""
+        import mfdl.meanfield as meanfield
+
+        monkeypatch.setattr(meanfield, "_BRENT_MAX_EVALS", 5)
+        f = lambda x: -1.0 if x < 0.3 else 1.0  # a jump: ~40 steps to 1e-12
+        with pytest.raises(NonConvergenceError) as err:
+            brent_root(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
+        assert err.value.iterations == 5
+        assert 0.0 <= err.value.last_iterate <= 1.0
 
 
 class TestChi:

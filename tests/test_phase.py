@@ -8,7 +8,12 @@ import pytest
 from mfdl.activations import Activation
 from mfdl.errors import ConfigError
 from mfdl.meanfield import MeanFieldParams
-from mfdl.phase import critical_line, default_grid, depth_scale_grid, trainable_length
+from mfdl.phase import critical_line, default_grid, depth_scale_grid
+
+
+def _trainable_bound(p, act):
+    """The trainable_bound column of a one-point grid at p."""
+    return depth_scale_grid([p.sigma_w_sq], p, act).trainable_bound[0]
 
 
 class TestDepthScaleGrid:
@@ -122,7 +127,7 @@ class TestTrainableLength:
     def test_equal_scales_give_twelve(self):
         """chi1 = chi2 = 1/e makes both depth scales 1, so the bound is 12."""
         p = MeanFieldParams(math.exp(-1.0), 0.3, 1.0)
-        assert trainable_length(p, Activation.LINEAR) == pytest.approx(12.0, rel=1e-9)
+        assert _trainable_bound(p, Activation.LINEAR) == pytest.approx(12.0, rel=1e-9)
 
     def test_no_dropout_binds_via_xi1(self):
         """At rho = 1 the single-input scale is the smaller one, so the
@@ -134,11 +139,11 @@ class TestTrainableLength:
             d = depth_scales(p, Activation.TANH)
             if math.isinf(d.xi1):
                 continue
-            assert trainable_length(p, Activation.TANH) == pytest.approx(
+            assert _trainable_bound(p, Activation.TANH) == pytest.approx(
                 12.0 * d.xi1, rel=1e-12
             )
 
     def test_infinite_exactly_at_criticality(self):
         """A point where chi1 = chi2 = 1 exactly maps to an infinite bound."""
         p = MeanFieldParams(1.0, 0.0, 1.0)  # identity length and correlation maps
-        assert trainable_length(p, Activation.LINEAR) == math.inf
+        assert _trainable_bound(p, Activation.LINEAR) == math.inf

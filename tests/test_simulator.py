@@ -20,7 +20,6 @@ from mfdl.simulator import (
     _instance_metrics_many,
     _LazyGaussian,
     backward,
-    ensemble_run,
     ensemble_run_many,
     forward,
     gradient_metrics,
@@ -569,21 +568,21 @@ class TestEnsemble:
         rejected, while single-input metrics stay well defined."""
         cfg = _cfg(depth=3, width=1)
         with pytest.raises(ConfigError):
-            ensemble_run(cfg, 2, c0=0.5, metrics=("c_ab",))
-        q = ensemble_run(cfg, 2, c0=0.5, metrics=("q_aa",), q0=1.0)["q_aa"]
+            ensemble_run_many([cfg], 2, c0=0.5, metrics=("c_ab",))
+        q = ensemble_run_many([cfg], 2, c0=0.5, metrics=("q_aa",), q0s=[1.0])[0]["q_aa"]
         assert np.all(np.isfinite(q.per_layer_mean))
 
     def test_bit_reproducible(self):
         cfg = _cfg(depth=5, width=32)
-        a = ensemble_run(cfg, 4, metrics=("q_aa", "g_aa"))
-        b = ensemble_run(cfg, 4, metrics=("q_aa", "g_aa"))
+        a = ensemble_run_many([cfg], 4, metrics=("q_aa", "g_aa"))[0]
+        b = ensemble_run_many([cfg], 4, metrics=("q_aa", "g_aa"))[0]
         np.testing.assert_array_equal(a["q_aa"].per_layer_mean, b["q_aa"].per_layer_mean)
         np.testing.assert_array_equal(a["g_aa"].per_layer_stderr, b["g_aa"].per_layer_stderr)
 
     def test_threads_do_not_change_results(self):
         cfg = _cfg(depth=5, width=32)
-        a = ensemble_run(cfg, 6, metrics=("q_aa", "c_ab"), threads=1)
-        b = ensemble_run(cfg, 6, metrics=("q_aa", "c_ab"), threads=3)
+        a = ensemble_run_many([cfg], 6, metrics=("q_aa", "c_ab"), threads=1)[0]
+        b = ensemble_run_many([cfg], 6, metrics=("q_aa", "c_ab"), threads=3)[0]
         np.testing.assert_array_equal(a["c_ab"].per_layer_mean, b["c_ab"].per_layer_mean)
 
     def test_shared_run_equals_separate_runs(self):
@@ -598,14 +597,14 @@ class TestEnsemble:
         q0s = [1.0, 0.6, 1.4]
         fused = ensemble_run_many(cfgs, 4, c0=0.4, metrics=METRIC_NAMES, q0s=q0s)
         for cfg, q0, st in zip(cfgs, q0s, fused):
-            alone = ensemble_run(cfg, 4, c0=0.4, metrics=METRIC_NAMES, q0=q0)
+            alone = ensemble_run_many([cfg], 4, c0=0.4, metrics=METRIC_NAMES, q0s=[q0])[0]
             for m in METRIC_NAMES:
                 np.testing.assert_array_equal(st[m].per_layer_mean, alone[m].per_layer_mean)
                 np.testing.assert_array_equal(st[m].per_layer_variance, alone[m].per_layer_variance)
 
     def test_stderr_definition(self):
         cfg = _cfg(depth=3, width=16)
-        st = ensemble_run(cfg, 8, metrics=("q_aa",))["q_aa"]
+        st = ensemble_run_many([cfg], 8, metrics=("q_aa",))[0]["q_aa"]
         np.testing.assert_allclose(
             st.per_layer_stderr, np.sqrt(st.per_layer_variance / 8), rtol=1e-14
         )
@@ -621,8 +620,8 @@ class TestEnsemble:
 
     def test_doubling_instances_shrinks_stderr(self):
         cfg = _cfg(depth=3, width=24, seed=5)
-        small = ensemble_run(cfg, 100, metrics=("q_aa",))["q_aa"]
-        large = ensemble_run(cfg, 200, metrics=("q_aa",))["q_aa"]
+        small = ensemble_run_many([cfg], 100, metrics=("q_aa",))[0]["q_aa"]
+        large = ensemble_run_many([cfg], 200, metrics=("q_aa",))[0]["q_aa"]
         ratio = (large.per_layer_stderr**2 / small.per_layer_stderr**2).mean()
         assert 0.3 < ratio < 0.8  # ~0.5 within sampling noise
 
@@ -632,7 +631,7 @@ class TestEnsemble:
         the dropout scaling in the engine."""
         p = MeanFieldParams(0.25, 2.25, 0.4)
         cfg = NetworkConfig(4, 64, p, Activation.LINEAR, seed=3)
-        st = ensemble_run(cfg, 3000, metrics=("q_aa",), q0=1.0)["q_aa"]
+        st = ensemble_run_many([cfg], 3000, metrics=("q_aa",), q0s=[1.0])[0]["q_aa"]
         th = q_trajectory(1.0, 4, p, Activation.LINEAR)
         dev = np.abs(st.per_layer_mean - th) / st.per_layer_stderr
         assert np.all(dev < 4.0), dev
@@ -643,7 +642,7 @@ class TestEnsemble:
         p = MeanFieldParams(0.5, 0.5, 1.0)
         d = depth_scales(p, Activation.LINEAR)
         cfg = NetworkConfig(8, 500, p, Activation.LINEAR, seed=21)
-        st = ensemble_run(cfg, 300, c0=0.2, metrics=("c_ab",), q0=d.q_star)["c_ab"]
+        st = ensemble_run_many([cfg], 300, c0=0.2, metrics=("c_ab",), q0s=[d.q_star])[0]["c_ab"]
         gap = 1.0 - st.per_layer_mean  # c* = 1 here
         ls = np.arange(1, 9)
         keep = gap > 0.01
@@ -653,8 +652,8 @@ class TestEnsemble:
     def test_config_validation(self):
         cfg = _cfg()
         with pytest.raises(ConfigError):
-            ensemble_run(cfg, 1, metrics=("q_aa",))
+            ensemble_run_many([cfg], 1, metrics=("q_aa",))
         with pytest.raises(ConfigError):
-            ensemble_run(cfg, 4, metrics=("bogus",))
+            ensemble_run_many([cfg], 4, metrics=("bogus",))
         with pytest.raises(ConfigError):
             ensemble_run_many([], 4)

@@ -1,7 +1,8 @@
 """Source rules: library modules log instead of printing, the CLI uses only
 the public names of the other mfdl modules, only the moments module builds
-quadrature rules, no module imports a heavy scipy submodule, and scipy
-loads only where a computation needs it."""
+quadrature rules, theory functions take no rule or solver-tolerance knob, no
+module imports a heavy scipy submodule, and scipy loads only where a
+computation needs it."""
 
 import ast
 import json
@@ -78,14 +79,24 @@ def test_only_moments_builds_quadrature_rules():
 
 @pytest.mark.parametrize("name", ["meanfield.py", "phase.py", "simulator.py"])
 def test_theory_functions_take_no_rule(name):
-    offenders = [
-        node.name
+    """No quadrature rule, tolerance or iteration budget is passed through
+    the theory functions: each solver has its own constant.  brent_root
+    alone takes a tolerance, since its callers need different ones; its
+    evaluation cap is a constant too."""
+    params = [
+        (node.name, arg.arg)
         for node in ast.walk(_tree(SRC / name))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         for arg in ast.walk(node.args)
-        if isinstance(arg, ast.arg) and arg.arg == "rule"
+        if isinstance(arg, ast.arg)
     ]
-    assert not offenders, f"{name}: {offenders} take a 'rule' parameter"
+    rules = [fn for fn, arg in params if arg == "rule"]
+    assert not rules, f"{name}: {rules} take a 'rule' parameter"
+    knobs = [
+        (fn, arg) for fn, arg in params
+        if arg == "max_iter" or (arg == "tol" and fn != "brent_root")
+    ]
+    assert not knobs, f"{name}: {knobs} take a solver knob"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

@@ -69,7 +69,7 @@ class TestFitWindow:
         var = 0.5 * means**2
         means[30:33] = 1e-310  # below the double-precision working floor
         var[40] = 0.0
-        stats = EnsembleStats("g_aa", means, var, np.sqrt(var / 4), 4)
+        stats = EnsembleStats(means, var, np.sqrt(var / 4), 4)
         fit, n_excluded, layers, m, v = _fit_metric(stats, 100)
         assert n_excluded == 4
         assert fit.n_points == n - 4
