@@ -30,6 +30,14 @@ Erf at q >> 1).  This module therefore dispatches per activation:
     README's "Numerical notes" give measured values).  This module is the
     only one that builds a quadrature rule.
 
+Each rule is evaluated as one array expression over all of its nodes: the
+composite rule's panels form one (P, 24) block on which the integrand is
+evaluated once, and the rectangle probability takes all of the Price rule's
+correlations in one call, two Owen's T calls per corner.  Python adds up
+only the per-panel sums, in order, so the values equal bit for bit those of
+the panel-by-panel and node-by-node loops that tests/oracles.py keeps as
+references.
+
 At |c| = 1 every bivariate moment reduces exactly to its univariate
 counterpart (to 0 for ReLU at c = -1, where relu(u) relu(-u) = 0), so
 downstream identities (e.g. the two slope quantities coinciding at a fully
@@ -71,14 +79,14 @@ _GH_NODES, _GH_WEIGHTS = _normal_gauss_hermite(64)
 
 def _check_q(q: float, name: str = "q") -> float:
     q = float(q)
-    if not np.isfinite(q) or q < 0.0:
+    if not math.isfinite(q) or q < 0.0:
         raise ConfigError(f"{name} must be finite and >= 0, got {q!r}")
     return q
 
 
 def _check_c(c: float) -> float:
     c = float(c)
-    if not np.isfinite(c) or abs(c) > 1.0:
+    if not math.isfinite(c) or abs(c) > 1.0:
         raise ConfigError(f"correlation must lie in [-1, 1], got {c!r}")
     return c
 
@@ -104,12 +112,18 @@ def _even_decay_integral(g, q: float) -> float:
     edges = [0.0]
     while edges[-1] < _TANH_CUTOFF:
         edges.append(min(max(s, 2.0 * edges[-1]), _TANH_CUTOFF))
+    e = np.array(edges)
+    mid, half = 0.5 * (e[1:] + e[:-1]), 0.5 * (e[1:] - e[:-1])
+    # every panel's nodes as one (P, 24) block, the integrand evaluated once
+    u = mid[:, None] + half[:, None] * _GL_NODES
+    vals = g(u) * (np.exp(-u * u / (2.0 * q)) / math.sqrt(2.0 * math.pi * q))
+    # (P, 1, 24) @ (24,) takes one BLAS dot per panel row, the sum that
+    # np.dot(_GL_WEIGHTS, row) gives; vals @ _GL_WEIGHTS (gemv) sums in
+    # another order and moves the last bits.  Panels add up in order.
+    dots = (vals[:, None, :] @ _GL_WEIGHTS).ravel()
     total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        u = mid + half * _GL_NODES
-        pdf = np.exp(-u * u / (2.0 * q)) / math.sqrt(2.0 * math.pi * q)
-        total += half * float(np.dot(_GL_WEIGHTS, g(u) * pdf))
+    for h, dot in zip(half.tolist(), dots.tolist()):
+        total += h * dot
     return 2.0 * total
 
 
@@ -159,44 +173,47 @@ def _ndtr(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def bvn_cdf(h: float, k: float, r: float) -> float:
+def bvn_cdf(h: float, k: float, r):
     """P(X <= h, Y <= k) for standard bivariate normal (X, Y) with corr r.
 
-    Owen's T-function formula; |r| = 1 degenerates to the one-dimensional
+    Owen's T-function formula, elementwise in r: a float gives a float, an
+    array an array of its shape.  |r| = 1 degenerates to the one-dimensional
     comonotone/antimonotone cases.
     """
-    if abs(r) >= 1.0:
-        if r >= 1.0:
-            return _ndtr(min(h, k))
-        return max(0.0, _ndtr(h) + _ndtr(k) - 1.0)
-    rr = math.sqrt(1.0 - r * r)
+    r = np.asarray(r, dtype=np.float64)
+    tied = np.abs(r) >= 1.0
+    r_in = np.where(tied, 0.0, r)  # the formula's r; tied entries are replaced below
+    rr = np.sqrt(1.0 - r_in * r_in)
     if h == 0.0 and k == 0.0:
-        return 0.25 + math.asin(r) / (2.0 * math.pi)
-    # local: `import scipy.special` costs ~0.25 s and ~25 MB RSS; only HardTanh needs it
-    from scipy.special import owens_t
+        # math.asin per entry: numpy's arcsin may differ in the last bit
+        p = 0.25 + np.vectorize(math.asin, otypes=[float])(r_in) / (2.0 * math.pi)
+    else:
+        # local: `import scipy.special` costs ~0.25 s and ~25 MB RSS; only HardTanh needs it
+        from scipy.special import owens_t
 
-    if h == 0.0:
-        return float(0.5 * _ndtr(k) - owens_t(k, -r / rr))
-    if k == 0.0:
-        return float(0.5 * _ndtr(h) - owens_t(h, -r / rr))
-    ah = (k - r * h) / (h * rr)
-    ak = (h - r * k) / (k * rr)
-    delta = 0.0 if h * k > 0.0 else 0.5
-    return float(0.5 * (_ndtr(h) + _ndtr(k)) - owens_t(h, ah) - owens_t(k, ak) - delta)
+        if h == 0.0:
+            p = 0.5 * _ndtr(k) - owens_t(k, -r_in / rr)
+        elif k == 0.0:
+            p = 0.5 * _ndtr(h) - owens_t(h, -r_in / rr)
+        else:
+            ah = (k - r_in * h) / (h * rr)
+            ak = (h - r_in * k) / (k * rr)
+            delta = 0.0 if h * k > 0.0 else 0.5
+            p = 0.5 * (_ndtr(h) + _ndtr(k)) - owens_t(h, ah) - owens_t(k, ak) - delta
+    if tied.any():
+        at_one = np.where(r >= 1.0, _ndtr(min(h, k)), max(0.0, _ndtr(h) + _ndtr(k) - 1.0))
+        p = np.where(tied, at_one, p)
+    return float(p) if r.ndim == 0 else p
 
 
-def _rectangle_prob(alpha: float, beta: float, r) -> np.ndarray:
-    """P(|X| < alpha, |Y| < beta) for standard bivariate normal, vectorized in r."""
-    r = np.atleast_1d(np.asarray(r, dtype=np.float64))
-    out = np.empty_like(r)
-    for i, ri in enumerate(r):
-        out[i] = (
-            bvn_cdf(alpha, beta, ri)
-            - bvn_cdf(alpha, -beta, ri)
-            - bvn_cdf(-alpha, beta, ri)
-            + bvn_cdf(-alpha, -beta, ri)
-        )
-    return out
+def _rectangle_prob(alpha: float, beta: float, r):
+    """P(|X| < alpha, |Y| < beta) for standard bivariate normal, elementwise in r."""
+    return (
+        bvn_cdf(alpha, beta, r)
+        - bvn_cdf(alpha, -beta, r)
+        - bvn_cdf(-alpha, beta, r)
+        + bvn_cdf(-alpha, -beta, r)
+    )
 
 
 _GL_CORR_NODES, _GL_CORR_WEIGHTS = leggauss(48)
@@ -205,7 +222,7 @@ _GL_CORR_NODES, _GL_CORR_WEIGHTS = leggauss(48)
 def _hardtanh_dcross(qa: float, qb: float, c: float) -> float:
     alpha = 1.0 / math.sqrt(qa)
     beta = 1.0 / math.sqrt(qb)
-    return float(_rectangle_prob(alpha, beta, c)[0])
+    return _rectangle_prob(alpha, beta, c)
 
 
 def _hardtanh_cross(qa: float, qb: float, c: float) -> float:

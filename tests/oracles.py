@@ -2,8 +2,11 @@
 
 No recipe runs these; each recomputes a library result by another route:
 the explicit last-three-layer gradient expressions of a linear dropout
-network (against the closed induction forms), and the depth scale of the
-correlation map fitted to its own trajectory (against xi2).
+network (against the closed induction forms), the depth scale of the
+correlation map fitted to its own trajectory (against xi2), and the Tanh
+panel integral and HardTanh rectangle probability computed one panel and
+one correlation at a time (bit references for the moments module's array
+expressions).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import numpy as np
 from mfdl.activations import Activation
 from mfdl.errors import ConfigError, MfdlError
 from mfdl.meanfield import MeanFieldParams, _c_map_at_fixed_point, _solve_c, q_fixed_point
+from mfdl.moments import _GL_NODES, _GL_WEIGHTS, _TANH_CUTOFF, _ndtr
 
 
 class NonExponentialDecayError(MfdlError):
@@ -102,3 +106,59 @@ def c_convergence_rate(
             f"trajectory does not decay exponentially (fit slope {slope:.3e} >= 0)"
         )
     return -1.0 / slope
+
+
+def even_decay_integral_loop(g, q: float) -> float:
+    """2 * int_0^inf g(u) N(u; 0, q) du, one Gauss-Legendre panel at a time."""
+    if q == 0.0:
+        return float(g(np.zeros(1))[0])
+    s = 0.5 * min(math.sqrt(q), 1.0)
+    edges = [0.0]
+    while edges[-1] < _TANH_CUTOFF:
+        edges.append(min(max(s, 2.0 * edges[-1]), _TANH_CUTOFF))
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        u = mid + half * _GL_NODES
+        pdf = np.exp(-u * u / (2.0 * q)) / math.sqrt(2.0 * math.pi * q)
+        total += half * float(np.dot(_GL_WEIGHTS, g(u) * pdf))
+    return 2.0 * total
+
+
+def bvn_cdf_scalar(h: float, k: float, r: float) -> float:
+    """P(X <= h, Y <= k) for standard bivariate normal (X, Y) with corr r.
+
+    Owen's T-function formula; |r| = 1 degenerates to the one-dimensional
+    comonotone/antimonotone cases.
+    """
+    if abs(r) >= 1.0:
+        if r >= 1.0:
+            return _ndtr(min(h, k))
+        return max(0.0, _ndtr(h) + _ndtr(k) - 1.0)
+    rr = math.sqrt(1.0 - r * r)
+    if h == 0.0 and k == 0.0:
+        return 0.25 + math.asin(r) / (2.0 * math.pi)
+    from scipy.special import owens_t
+
+    if h == 0.0:
+        return float(0.5 * _ndtr(k) - owens_t(k, -r / rr))
+    if k == 0.0:
+        return float(0.5 * _ndtr(h) - owens_t(h, -r / rr))
+    ah = (k - r * h) / (h * rr)
+    ak = (h - r * k) / (k * rr)
+    delta = 0.0 if h * k > 0.0 else 0.5
+    return float(0.5 * (_ndtr(h) + _ndtr(k)) - owens_t(h, ah) - owens_t(k, ak) - delta)
+
+
+def rectangle_prob_loop(alpha: float, beta: float, r) -> np.ndarray:
+    """P(|X| < alpha, |Y| < beta) for standard bivariate normal, one r at a time."""
+    r = np.atleast_1d(np.asarray(r, dtype=np.float64))
+    out = np.empty_like(r)
+    for i, ri in enumerate(r):
+        out[i] = (
+            bvn_cdf_scalar(alpha, beta, ri)
+            - bvn_cdf_scalar(alpha, -beta, ri)
+            - bvn_cdf_scalar(-alpha, beta, ri)
+            + bvn_cdf_scalar(-alpha, -beta, ri)
+        )
+    return out

@@ -5,22 +5,32 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
+from mfdl import moments
 from mfdl.activations import Activation
 from mfdl.errors import ConfigError
 from mfdl.moments import (
     _GH_NODES,
     _GH_WEIGHTS,
+    _even_decay_integral,
     _gh_cross,
     _ndtr,
+    _rectangle_prob,
     _relu_cross_kernel,
+    _sech2,
+    _sech4,
     bvn_cdf,
     dphi_cross,
     dphi_sq,
     phi_cross,
     phi_sq,
 )
+from oracles import bvn_cdf_scalar, even_decay_integral_loop, rectangle_prob_loop
 
 _PDF = lambda z: math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
 
@@ -214,3 +224,159 @@ class TestBvnCdf:
             y = r * z1 + math.sqrt(1 - r * r) * z2
             mc = np.mean((z1 <= h) & (y <= k))
             assert abs(bvn_cdf(h, k, r) - mc) < 6e-4
+
+
+def _tanh2(u):
+    return np.tanh(u) ** 2
+
+
+_PANEL_QS = [0.0, 1e-12, 1e-3, 0.5, 1.0, float(np.nextafter(1.0, 2.0)), 3.0, 1e3]
+_PANEL_INTEGRANDS = {"sech2": _sech2, "sech4": _sech4, "tanh2": _tanh2}
+
+
+def _price_nodes(c):
+    """The correlations at which _hardtanh_cross evaluates the rectangle."""
+    lo = math.sqrt(1.0 - abs(c))
+    u = lo + 0.5 * (1.0 - lo) * (1.0 + moments._GL_CORR_NODES)
+    return 1.0 - u * u
+
+
+class TestArrayRulesBitForBit:
+    """The array-valued rules against the one-panel-at-a-time and
+    one-correlation-at-a-time loops they replaced (tests/oracles.py): every
+    bit equal, since fixed points, phase grids and CSVs rest on them."""
+
+    @pytest.mark.parametrize("g", _PANEL_INTEGRANDS.values(), ids=_PANEL_INTEGRANDS.keys())
+    @pytest.mark.parametrize("q", _PANEL_QS)
+    def test_panel_integral_equals_panel_loop(self, g, q):
+        assert _even_decay_integral(g, q) == even_decay_integral_loop(g, q)
+
+    @pytest.mark.parametrize("q", _PANEL_QS)
+    def test_tanh_moments_equal_panel_loop(self, q):
+        value = even_decay_integral_loop(_tanh2, q) if q <= 1.0 else 1.0 - even_decay_integral_loop(_sech2, q)
+        assert phi_sq(Activation.TANH, q) == value
+        assert dphi_sq(Activation.TANH, q) == even_decay_integral_loop(_sech4, q)
+
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (0.3, 2.5), (4.47, 0.58), (1e-3, 30.0)])
+    def test_rectangle_equals_corner_loop(self, alpha, beta):
+        rs = [_price_nodes(c) for c in (0.3, -0.6, 0.999, 1.0)]
+        rs.append(np.array([0.0, -1.0, 1.0, -0.5, 0.9999999]))
+        for r in rs:
+            got = _rectangle_prob(alpha, beta, r)
+            assert got.shape == r.shape
+            np.testing.assert_array_equal(got, rectangle_prob_loop(alpha, beta, r))
+        for r in (0.0, -1.0, 1.0, 0.42):
+            assert _rectangle_prob(alpha, beta, r) == rectangle_prob_loop(alpha, beta, r)[0]
+
+    @pytest.mark.parametrize("h,k", [(0.0, 0.0), (0.0, 0.8), (-1.1, 0.0), (0.7, -0.2), (-2.0, -1.0)])
+    def test_bvn_cdf_branches_equal_scalar_formula(self, h, k):
+        """The orthant, h = 0, k = 0 and |r| = 1 branches, in an array and
+        one correlation at a time: floats in, floats out."""
+        rs = np.array([-1.0, -0.999, -0.5, 0.0, 0.3, 0.9999, 1.0])
+        expected = [bvn_cdf_scalar(h, k, float(r)) for r in rs]
+        assert bvn_cdf(h, k, rs).tolist() == expected
+        scalars = [bvn_cdf(h, k, float(r)) for r in rs]
+        assert scalars == expected
+        assert all(type(v) is float for v in scalars)
+
+    # below q ~ 1e-306 the Gaussian exponent overflows to -inf on both sides,
+    # and exp gives the right 0
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(
+        q=st.floats(0.0, 1e6),
+        qa=st.floats(1e-6, 1e4),
+        qb=st.floats(1e-6, 1e4),
+        c=st.floats(-1.0, 1.0),
+    )
+    def test_property_equal_to_loops(self, q, qa, qb, c):
+        for g in _PANEL_INTEGRANDS.values():
+            assert _even_decay_integral(g, q) == even_decay_integral_loop(g, q)
+        alpha, beta = 1.0 / math.sqrt(qa), 1.0 / math.sqrt(qb)
+        r = _price_nodes(c)
+        np.testing.assert_array_equal(_rectangle_prob(alpha, beta, r), rectangle_prob_loop(alpha, beta, r))
+        if not (abs(c) == 1.0 and qa == qb):
+            assert dphi_cross(Activation.HARDTANH, qa, qb, c) == rectangle_prob_loop(alpha, beta, c)[0]
+
+
+class TestArrayRuleStructure:
+    """Each rule is one array evaluation, whatever its panel or node count."""
+
+    @pytest.mark.parametrize("q", [1e-12, 0.5, 3.0, 1e3])
+    def test_panel_integrand_evaluated_once(self, q):
+        calls = []
+
+        def g(u):
+            calls.append(u.shape)
+            return _sech2(u)
+
+        _even_decay_integral(g, q)
+        assert len(calls) == 1 and calls[0][1] == 24, calls
+
+    @pytest.mark.parametrize("nodes", [48, 96])
+    def test_owens_t_calls_independent_of_node_count(self, monkeypatch, nodes):
+        """Two Owen's T calls per corner, on all correlation nodes at once."""
+        calls = []
+        owens_t = scipy.special.owens_t
+
+        def counting(h, a):
+            calls.append(np.shape(a))
+            return owens_t(h, a)
+
+        monkeypatch.setattr(scipy.special, "owens_t", counting)
+        x, w = leggauss(nodes)
+        monkeypatch.setattr(moments, "_GL_CORR_NODES", x)
+        monkeypatch.setattr(moments, "_GL_CORR_WEIGHTS", w)
+        phi_cross(Activation.HARDTANH, 0.7, 2.0, 0.4)
+        assert 0 < len(calls) <= 8 and set(calls) == {(nodes,)}, calls
+
+
+def _rectangle_derivative(alpha, beta):
+    """d/dt P(|X| < alpha, |Y| < beta) at correlation t: Plackett's identity
+    d/dt P(X <= h, Y <= k) = phi2(h, k; t), summed over the four corners."""
+
+    def phi2(h, k, t):
+        s2 = 1 - t * t
+        return mpmath.exp(-(h * h - 2 * t * h * k + k * k) / (2 * s2)) / (2 * mpmath.pi * mpmath.sqrt(s2))
+
+    return lambda t: 2 * (phi2(alpha, beta, t) - phi2(alpha, -beta, t))
+
+
+class TestHardTanhCrossVsMpmath:
+    """Independent oracles for the Owen's T route, at 30 digits: the
+    rectangle probability as a 1-D integral over the first variable, and the
+    value moment as its Price integral in c, with the rectangle from
+    Plackett's identity."""
+
+    POINTS = [(0.5, 0.5, 0.3), (2.0, 0.7, 0.9), (0.05, 3.0, -0.6), (1.0, 1.2, 0.999)]
+
+    @pytest.mark.parametrize("qa,qb,c", POINTS)
+    def test_derivative_moment_is_rectangle_integral(self, qa, qb, c):
+        with mpmath.workdps(30):
+            alpha, beta = 1 / mpmath.sqrt(qa), 1 / mpmath.sqrt(qb)
+            t = mpmath.mpf(c)
+            s = mpmath.sqrt(1 - t * t)
+            inner = lambda z: mpmath.ncdf((beta - t * z) / s) - mpmath.ncdf((-beta - t * z) / s)
+            # the inner probability steps where t z = +-beta
+            pts = sorted({-alpha, alpha} | {x for x in (beta / t, -beta / t) if -alpha < x < alpha})
+            exact = mpmath.quad(lambda z: mpmath.npdf(z) * inner(z), pts)
+            at_zero = mpmath.erf(alpha / mpmath.sqrt(2)) * mpmath.erf(beta / mpmath.sqrt(2))
+            plackett = at_zero + mpmath.quad(_rectangle_derivative(alpha, beta), [0, t])
+        got = dphi_cross(Activation.HARDTANH, qa, qb, c)
+        assert abs(got - exact) <= 1e-13 * abs(exact)
+        assert abs(got - plackett) <= 1e-13 * abs(plackett)
+
+    @pytest.mark.parametrize("qa,qb,c", POINTS)
+    def test_value_moment_is_price_integral(self, qa, qb, c):
+        """phi_cross = sqrt(qa qb) int_0^c P(t) dt, and with P(t) = P(0) +
+        int_0^t P'(s) ds the double integral folds to one:
+        c P(0) + int_0^c (c - s) P'(s) ds."""
+        with mpmath.workdps(30):
+            alpha, beta = 1 / mpmath.sqrt(qa), 1 / mpmath.sqrt(qb)
+            t = mpmath.mpf(c)
+            dp = _rectangle_derivative(alpha, beta)
+            at_zero = mpmath.erf(alpha / mpmath.sqrt(2)) * mpmath.erf(beta / mpmath.sqrt(2))
+            price = t * at_zero + mpmath.quad(lambda s: (t - s) * dp(s), [0, t])
+            exact = mpmath.sqrt(mpmath.mpf(qa) * qb) * price
+        got = phi_cross(Activation.HARDTANH, qa, qb, c)
+        assert abs(got - exact) <= 1e-13 * abs(exact)
