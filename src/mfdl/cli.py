@@ -29,7 +29,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import replace
@@ -139,8 +138,6 @@ def _resolve(defaults: dict, file_cfg: dict, args: argparse.Namespace) -> dict:
             cfg[key] = val
     if args.no_header_timestamp and "header_timestamp" in cfg:
         cfg["header_timestamp"] = False
-    if "threads" in cfg and cfg["threads"] is None:
-        cfg["threads"] = _get(os.environ, "MFDL_THREADS", int) if "MFDL_THREADS" in os.environ else 1
     return cfg
 
 
@@ -165,8 +162,8 @@ def _progress(msg: str):
 
 
 # Shared config blocks: ensemble recipes draw seeded instances on `threads`
-# workers (null: MFDL_THREADS, else 1), file recipes write CSVs under `out`.
-_ENSEMBLE = {"seed": 0, "threads": None}
+# workers, file recipes write CSVs under `out`.
+_ENSEMBLE = {"seed": 0, "threads": 1}
 _OUTPUT = {"out": ".", "header_timestamp": True}
 
 
@@ -515,14 +512,13 @@ _FIXED_POINT_DEFAULTS = {
     "sigma_w_sq": 1.4,
     "sigma_b_sq": 0.1,
     "rho": 1.0,
-    "q0": 1.0,
     "c0": 0.9,
 }
 
 
 def cmd_fixed_point(cfg: dict) -> dict:
     act = Activation.parse(cfg["activation"])
-    d = depth_scales(_params(cfg), act, q0=_get(cfg, "q0"), c0=_get(cfg, "c0"))
+    d = depth_scales(_params(cfg), act, c0=_get(cfg, "c0"))
     out = {"command": "fixed-point", "config": cfg}
     out["q_star"] = d.q_star
     out["c_star"] = d.c_star
@@ -569,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if "instances" in defaults:  # the ensemble recipes
             p.add_argument("--seed", type=int, help="base seed (64-bit)")
-            p.add_argument("--threads", type=int, help="parallel instances (default: MFDL_THREADS or 1)")
+            p.add_argument("--threads", type=int, help="parallel instances (default: 1)")
             p.add_argument("--instances", type=int, help="ensemble size")
     return parser
 

@@ -377,7 +377,6 @@ def chi1_at_fixed_point(p: MeanFieldParams, a: Activation) -> float:
 def depth_scales(
     p: MeanFieldParams,
     a: Activation,
-    q0: float = 1.0,
     c0: float = 0.9,
 ) -> DepthScales:
     """Bundle (q*, c*, chi1, chi2, xi1, xi2) for one hyperparameter point.
@@ -386,7 +385,7 @@ def depth_scales(
     the degenerate bivariate moments apply and chi2 = chi1 holds to machine
     precision.
     """
-    q_star, q_evals = q_fixed_point(p, a, q0=q0)
+    q_star, q_evals = q_fixed_point(p, a)
     c_star, c_evals = _solve_c(p, a, q_star, c0)
     x1 = chi1(q_star, p, a)
     x2 = chi2(q_star, c_star, p, a)

@@ -17,11 +17,12 @@ Erf at q >> 1).  This module therefore dispatches per activation:
 
   - Linear, ReLU, Erf: closed forms (orthant/arc-cosine kernels for ReLU,
     arcsine/determinant identities for Erf).
-  - HardTanh: closed forms via the normal CDF; the bivariate pair uses the
-    rectangle probability of a correlated Gaussian pair (Owen's T), and the
-    value cross-moment integrates that rectangle over the correlation
-    (Price's theorem, with a Gauss-Legendre rule in sqrt(1 - |c|), in which
-    the integrand stays smooth up to |c| = 1).
+  - HardTanh: closed forms via erf (phi_sq takes a Taylor series above
+    q = 1, where the closed form cancels); the bivariate pair uses the
+    rectangle probability of a correlated Gaussian pair (four Owen's T
+    terms), and the value cross-moment integrates that rectangle over the
+    correlation (Price's theorem, with a Gauss-Legendre rule in
+    sqrt(1 - |c|), in which the integrand stays smooth up to |c| = 1).
   - Tanh: univariate moments via a scale-adaptive composite Gauss-Legendre
     rule on the saturation variable (exact at any q; phi_sq integrates
     tanh^2 itself up to q = 1, where 1 - E[sech^2] would cancel); bivariate
@@ -33,10 +34,9 @@ Erf at q >> 1).  This module therefore dispatches per activation:
 Each rule is evaluated as one array expression over all of its nodes: the
 composite rule's panels form one (P, 24) block on which the integrand is
 evaluated once, and the rectangle probability takes all of the Price rule's
-correlations in one call, two Owen's T calls per corner.  Python adds up
-only the per-panel sums, in order, so the values equal bit for bit those of
-the panel-by-panel and node-by-node loops that tests/oracles.py keeps as
-references.
+correlations in one call of four Owen's T terms.  Python adds up only the
+per-panel sums, in order, so the composite rule equals bit for bit the
+panel-by-panel loop that tests/oracles.py keeps as a reference.
 
 At |c| = 1 every bivariate moment reduces exactly to its univariate
 counterpart (to 0 for ReLU at c = -1, where relu(u) relu(-u) = 0), so
@@ -109,8 +109,10 @@ def _even_decay_integral(g, q: float) -> float:
     if q == 0.0:
         return float(g(np.zeros(1))[0])
     s = 0.5 * min(math.sqrt(q), 1.0)
+    # past 40 sqrt(q) the density is exp(<= -800) = 0.0: later panels add 0.0
+    stop = min(_TANH_CUTOFF, 40.0 * math.sqrt(q))
     edges = [0.0]
-    while edges[-1] < _TANH_CUTOFF:
+    while edges[-1] < stop:
         edges.append(min(max(s, 2.0 * edges[-1]), _TANH_CUTOFF))
     e = np.array(edges)
     mid, half = 0.5 * (e[1:] + e[:-1]), 0.5 * (e[1:] - e[:-1])
@@ -157,6 +159,14 @@ def _hardtanh_sq(q: float) -> float:
     if q == 0.0:
         return 0.0
     a = 1.0 / math.sqrt(q)
+    if a < 1.0:
+        # q (P(|z| < a) - 2 a pdf(a)) cancels as q grows; its Taylor series
+        # sqrt(2/pi) a sum_k (-a^2/2)^k / (k! (2k + 3)) does not
+        term, series = 1.0, 0.0
+        for k in range(25):
+            series += term / (2 * k + 3)
+            term *= -0.5 * a * a / (k + 1)
+        return math.sqrt(2.0 / math.pi) * a * series + math.erfc(a / _SQRT2)
     pdf = math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
     inside = math.erf(a / _SQRT2)  # P(|z| < a)
     return q * (inside - 2.0 * a * pdf) + (1.0 - inside)
@@ -168,61 +178,42 @@ def _hardtanh_dsq(q: float) -> float:
     return math.erf(1.0 / math.sqrt(2.0 * q))
 
 
-def _ndtr(x: float) -> float:
-    """Standard normal CDF of a scalar."""
-    return 0.5 * math.erfc(-x / _SQRT2)
+def _rectangle_prob(alpha: float, beta: float, r):
+    """P(|X| < alpha, |Y| < beta) for a standard bivariate normal pair with
+    correlation r, for alpha, beta > 0; elementwise in r, a float gives a float.
 
-
-def bvn_cdf(h: float, k: float, r):
-    """P(X <= h, Y <= k) for standard bivariate normal (X, Y) with corr r.
-
-    Owen's T-function formula, elementwise in r: a float gives a float, an
-    array an array of its shape.  |r| = 1 degenerates to the one-dimensional
-    comonotone/antimonotone cases.
+    Owen's T formula summed over the four corners: T(-h, a) = T(h, a) and
+    T(h, -a) = -T(h, a) pair the corners' T terms, and their normal CDF terms
+    cancel to 1.  At |r| = 1 the pair is (anti)comonotone.
     """
+    # local: `import scipy.special` costs ~0.25 s and ~25 MB RSS; only HardTanh needs it
+    from scipy.special import owens_t
+
     r = np.asarray(r, dtype=np.float64)
     tied = np.abs(r) >= 1.0
     r_in = np.where(tied, 0.0, r)  # the formula's r; tied entries are replaced below
-    rr = np.sqrt(1.0 - r_in * r_in)
-    if h == 0.0 and k == 0.0:
-        # math.asin per entry: numpy's arcsin may differ in the last bit
-        p = 0.25 + np.vectorize(math.asin, otypes=[float])(r_in) / (2.0 * math.pi)
-    else:
-        # local: `import scipy.special` costs ~0.25 s and ~25 MB RSS; only HardTanh needs it
-        from scipy.special import owens_t
-
-        if h == 0.0:
-            p = 0.5 * _ndtr(k) - owens_t(k, -r_in / rr)
-        elif k == 0.0:
-            p = 0.5 * _ndtr(h) - owens_t(h, -r_in / rr)
-        else:
-            ah = (k - r_in * h) / (h * rr)
-            ak = (h - r_in * k) / (k * rr)
-            delta = 0.0 if h * k > 0.0 else 0.5
-            p = 0.5 * (_ndtr(h) + _ndtr(k)) - owens_t(h, ah) - owens_t(k, ak) - delta
-    if tied.any():
-        at_one = np.where(r >= 1.0, _ndtr(min(h, k)), max(0.0, _ndtr(h) + _ndtr(k) - 1.0))
-        p = np.where(tied, at_one, p)
-    return float(p) if r.ndim == 0 else p
-
-
-def _rectangle_prob(alpha: float, beta: float, r):
-    """P(|X| < alpha, |Y| < beta) for standard bivariate normal, elementwise in r."""
-    return (
-        bvn_cdf(alpha, beta, r)
-        - bvn_cdf(alpha, -beta, r)
-        - bvn_cdf(-alpha, beta, r)
-        + bvn_cdf(-alpha, -beta, r)
+    # beta -+ r alpha as (beta - alpha) + alpha (1 -+ r): 1 -+ r is exact where
+    # it cancels, so the arguments keep their digits as |r| -> 1
+    om, op = 1.0 - r_in, 1.0 + r_in
+    s = np.sqrt(om * op)
+    d = beta - alpha
+    t = (
+        owens_t(alpha, (d + alpha * om) / (alpha * s))
+        + owens_t(beta, (beta * om - d) / (beta * s))
+        + owens_t(alpha, (d + alpha * op) / (alpha * s))
+        + owens_t(beta, (beta * op - d) / (beta * s))
     )
+    p = np.where(tied, math.erf(min(alpha, beta) / _SQRT2), 1.0 - 2.0 * t)
+    return float(p) if r.ndim == 0 else p
 
 
 _GL_CORR_NODES, _GL_CORR_WEIGHTS = leggauss(48)
 
 
 def _hardtanh_dcross(qa: float, qb: float, c: float) -> float:
-    alpha = 1.0 / math.sqrt(qa)
-    beta = 1.0 / math.sqrt(qb)
-    return _rectangle_prob(alpha, beta, c)
+    if qa == 0.0 or qb == 0.0:
+        return _hardtanh_dsq(max(qa, qb))  # phi'(0) = 1 leaves the other factor
+    return _rectangle_prob(1.0 / math.sqrt(qa), 1.0 / math.sqrt(qb), c)
 
 
 def _hardtanh_cross(qa: float, qb: float, c: float) -> float:

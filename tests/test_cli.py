@@ -280,6 +280,8 @@ class TestRecipeFields:
          ("critical-line", "out"), ("critical-line", "header_timestamp"),
          ("fixed-point", "seed"), ("fixed-point", "threads"),
          ("fixed-point", "out"), ("fixed-point", "header_timestamp"),
+         # the walk's starting point does not change q*
+         ("fixed-point", "q0"),
          # the CSV columns b12xi1, b6xi2 and b12xi2 name their factors
          ("phase", "bound_multiplier"), ("phase", "comparison_multiplier"),
          # the quadrature rule is fixed inside the moments module
@@ -312,32 +314,18 @@ class TestRecipeFields:
         assert "'depth'" in capsys.readouterr().err
 
 
-class TestThreadsEnv:
-    def test_malformed_env_is_usage_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MFDL_THREADS", "two")
-        cfg = _write_cfg(tmp_path, "c.json", {"depth": 3, "width": 8, "instances": 2})
-        assert main(["gradsim", "--config", cfg, "--out", str(tmp_path)]) == EXIT_USAGE
-
-    def test_env_ignored_without_threads_field(self, monkeypatch, capsys):
-        monkeypatch.setenv("MFDL_THREADS", "two")
-        assert main(["fixed-point"]) == EXIT_OK
-        assert "threads" not in json.loads(capsys.readouterr().out)["config"]
-
-    def test_env_fallback(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("MFDL_THREADS", "2")
-        cfg = _write_cfg(tmp_path, "c.json", {"rhos": [1.0], "layers": 3, "simulate": False})
-        rc = main(["lengthmap", "--config", cfg, "--out", str(tmp_path)])
-        assert rc == EXIT_OK
-        header, _, _ = _read_csv(json.loads(capsys.readouterr().out)["files"][0])
-        assert header["threads"] == 2
-
-    def test_flag_overrides_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("MFDL_THREADS", "2")
-        cfg = _write_cfg(tmp_path, "c.json", {"rhos": [1.0], "layers": 3, "simulate": False})
+class TestThreads:
+    def test_flag_overrides_config(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, "c.json", {"rhos": [1.0], "layers": 3, "simulate": False, "threads": 2})
         rc = main(["lengthmap", "--config", cfg, "--out", str(tmp_path), "--threads", "1"])
         assert rc == EXIT_OK
         header, _, _ = _read_csv(json.loads(capsys.readouterr().out)["files"][0])
         assert header["threads"] == 1
+
+    def test_null_is_malformed(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, "c.json", {"depth": 3, "width": 8, "instances": 2, "threads": None})
+        assert main(["gradsim", "--config", cfg, "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "'threads'" in capsys.readouterr().err
 
 
 def test_usage_error_on_missing_command():

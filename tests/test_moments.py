@@ -1,6 +1,7 @@
 """Gaussian moment engine against adaptive-quadrature and identity oracles."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -19,18 +20,16 @@ from mfdl.moments import (
     _GH_WEIGHTS,
     _even_decay_integral,
     _gh_cross,
-    _ndtr,
     _rectangle_prob,
     _relu_cross_kernel,
     _sech2,
     _sech4,
-    bvn_cdf,
     dphi_cross,
     dphi_sq,
     phi_cross,
     phi_sq,
 )
-from oracles import bvn_cdf_scalar, even_decay_integral_loop, rectangle_prob_loop
+from oracles import _ndtr, even_decay_integral_loop, rectangle_prob_loop
 
 _PDF = lambda z: math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
 
@@ -80,6 +79,25 @@ class TestUnivariate:
                 exact = 2 * mpmath.quad(lambda z: mpmath.tanh(s * z) ** 2 * mpmath.npdf(z), [0, 1, 4, 10, 40])
                 got = phi_sq(Activation.TANH, q)
                 assert abs(got - exact) <= 1e-13 * exact, q
+
+    @pytest.mark.parametrize("q", [1.0, 4.0, 1e4, 1e16, 1e150, 1e300])
+    def test_hardtanh_value_moment_at_large_q_vs_mpmath(self, q):
+        """E[hardtanh(sqrt(q) z)^2] = q E[z^2; |z| < a] + P(|z| > a), a = 1/sqrt(q),
+        tends to 1; q (erf(a/sqrt2) - 2 a pdf(a)) would cancel.  Oracle: the
+        truncated second moment as the lower incomplete gamma function
+        (2/sqrt(pi)) gamma(3/2, a^2/2), at 50 digits."""
+        with mpmath.workdps(50):
+            a = 1 / mpmath.sqrt(q)
+            inside = 2 / mpmath.sqrt(mpmath.pi) * mpmath.gammainc(mpmath.mpf(1.5), 0, a * a / 2)
+            exact = q * inside + mpmath.erfc(a / mpmath.sqrt(2))
+        got = phi_sq(Activation.HARDTANH, q)
+        assert abs(got - exact) <= 1e-15 * exact
+
+    def test_hardtanh_value_moment_continuous_at_unit_q(self):
+        """The series takes over above q = 1, the closed form at and below."""
+        at_one = phi_sq(Activation.HARDTANH, 1.0)
+        for q in (np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)):
+            assert abs(phi_sq(Activation.HARDTANH, float(q)) - at_one) <= 1e-15 * at_one
 
 
 class TestGaussHermiteRule:
@@ -184,12 +202,26 @@ class TestBivariate:
         for act in Activation:
             assert phi_cross(act, 0.0, 1.0, 0.5) == 0.0
 
+    @pytest.mark.parametrize("c", [-0.9, 0.0, 0.5, 0.999])
+    def test_hardtanh_derivative_cross_at_zero_length(self, c):
+        """phi'(0) = 1, so a zero-length input leaves P(|u| < 1) of the other,
+        which is dphi_sq (phi'^2 = phi' for an indicator): the q -> 0+ limit."""
+        act = Activation.HARDTANH
+        for qb in (0.3, 1.0, 25.0):
+            assert dphi_cross(act, 0.0, qb, c) == dphi_sq(act, qb)
+            assert dphi_cross(act, qb, 0.0, c) == dphi_sq(act, qb)
+            assert abs(dphi_cross(act, 1e-300, qb, c) - dphi_sq(act, qb)) <= 1e-15
+        assert dphi_cross(act, 0.0, 0.0, c) == 1.0
+
     def test_uncorrelated_odd_cross_vanishes(self):
         for act in (Activation.LINEAR, Activation.TANH, Activation.HARDTANH, Activation.ERF):
             assert abs(phi_cross(act, 1.0, 2.0, 0.0)) < 1e-14
 
 
 class TestBvnCdf:
+    """Bivariate normal probabilities: the library's rectangle against its
+    closed limits and sampling, and the oracle's normal CDF against mpmath."""
+
     def test_normal_cdf_vs_mpmath(self):
         """Phi from math.erfc: relative error <= 1e-12 down to the deep lower
         tail (x/sqrt(2) is rounded before erfc), absolute <= 1e-15 in the bulk."""
@@ -201,37 +233,41 @@ class TestBvnCdf:
                     assert abs(_ndtr(x) - exact) <= 1e-15, x
 
     def test_independence(self):
-        from scipy.special import ndtr
-
-        for h, k in [(0.7, -0.2), (0.0, 1.3), (-2.0, -1.0)]:
-            assert abs(bvn_cdf(h, k, 0.0) - ndtr(h) * ndtr(k)) < 1e-14
-
-    def test_orthant_formula(self):
-        for r in (-0.9, -0.3, 0.0, 0.5, 0.95):
-            assert abs(bvn_cdf(0.0, 0.0, r) - (0.25 + math.asin(r) / (2 * math.pi))) < 1e-14
+        for alpha, beta in [(0.7, 0.2), (1.3, 1.3), (2.0, 30.0), (1e-3, 0.8)]:
+            independent = math.erf(alpha / math.sqrt(2)) * math.erf(beta / math.sqrt(2))
+            assert abs(_rectangle_prob(alpha, beta, 0.0) - independent) < 1e-14
 
     def test_comonotone_limits(self):
-        from scipy.special import ndtr
-
-        assert bvn_cdf(0.3, 1.2, 1.0) == pytest.approx(ndtr(0.3), abs=1e-15)
-        assert bvn_cdf(0.3, -0.3, -1.0) == pytest.approx(0.0, abs=1e-15)
+        """|r| = 1 gives P(|X| < min(alpha, beta)), and the formula reaches
+        it from inside."""
+        limit = math.erf(0.3 / math.sqrt(2))
+        for r in (1.0, -1.0, 1.0 - 1e-12, -1.0 + 1e-12):
+            assert _rectangle_prob(0.3, 1.2, r) == pytest.approx(limit, abs=1e-15)
+            assert _rectangle_prob(1.2, 0.3, r) == pytest.approx(limit, abs=1e-15)
 
     def test_against_monte_carlo(self):
         rng = np.random.default_rng(5)
         n = 4_000_000
         z1, z2 = rng.standard_normal((2, n))
-        for h, k, r in [(0.5, -0.3, 0.8), (1.0, 1.0, -0.5), (-1.2, 0.7, 0.95)]:
+        for alpha, beta, r in [(0.5, 0.3, 0.8), (1.0, 1.0, -0.5), (1.2, 0.7, 0.95)]:
             y = r * z1 + math.sqrt(1 - r * r) * z2
-            mc = np.mean((z1 <= h) & (y <= k))
-            assert abs(bvn_cdf(h, k, r) - mc) < 6e-4
+            mc = np.mean((np.abs(z1) < alpha) & (np.abs(y) < beta))
+            assert abs(_rectangle_prob(alpha, beta, r) - mc) < 6e-4
 
 
 def _tanh2(u):
     return np.tanh(u) ** 2
 
 
-_PANEL_QS = [0.0, 1e-12, 1e-3, 0.5, 1.0, float(np.nextafter(1.0, 2.0)), 3.0, 1e3]
+_PANEL_QS = [0.0, 5e-324, 1e-310, 1e-300, 1e-12, 1e-3, 0.5, 1.0, float(np.nextafter(1.0, 2.0)), 3.0, 1e3]
 _PANEL_INTEGRANDS = {"sech2": _sech2, "sech4": _sech4, "tanh2": _tanh2}
+
+
+def _panel_loop(g, q):
+    # below q ~ 1e-306 the loop's Gaussian exponent overflows to -inf, and exp
+    # gives the right 0
+    with np.errstate(over="ignore"):
+        return even_decay_integral_loop(g, q)
 
 
 def _price_nodes(c):
@@ -242,80 +278,113 @@ def _price_nodes(c):
 
 
 class TestArrayRulesBitForBit:
-    """The array-valued rules against the one-panel-at-a-time and
-    one-correlation-at-a-time loops they replaced (tests/oracles.py): every
-    bit equal, since fixed points, phase grids and CSVs rest on them."""
+    """The array-valued panel rule against the one-panel-at-a-time loop it
+    replaced (tests/oracles.py): every bit equal, since fixed points, phase
+    grids and CSVs rest on it."""
 
     @pytest.mark.parametrize("g", _PANEL_INTEGRANDS.values(), ids=_PANEL_INTEGRANDS.keys())
     @pytest.mark.parametrize("q", _PANEL_QS)
     def test_panel_integral_equals_panel_loop(self, g, q):
-        assert _even_decay_integral(g, q) == even_decay_integral_loop(g, q)
+        assert _even_decay_integral(g, q) == _panel_loop(g, q)
 
     @pytest.mark.parametrize("q", _PANEL_QS)
     def test_tanh_moments_equal_panel_loop(self, q):
-        value = even_decay_integral_loop(_tanh2, q) if q <= 1.0 else 1.0 - even_decay_integral_loop(_sech2, q)
+        value = _panel_loop(_tanh2, q) if q <= 1.0 else 1.0 - _panel_loop(_sech2, q)
         assert phi_sq(Activation.TANH, q) == value
-        assert dphi_sq(Activation.TANH, q) == even_decay_integral_loop(_sech4, q)
+        assert dphi_sq(Activation.TANH, q) == _panel_loop(_sech4, q)
 
-    @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (0.3, 2.5), (4.47, 0.58), (1e-3, 30.0)])
-    def test_rectangle_equals_corner_loop(self, alpha, beta):
-        rs = [_price_nodes(c) for c in (0.3, -0.6, 0.999, 1.0)]
-        rs.append(np.array([0.0, -1.0, 1.0, -0.5, 0.9999999]))
-        for r in rs:
-            got = _rectangle_prob(alpha, beta, r)
-            assert got.shape == r.shape
-            np.testing.assert_array_equal(got, rectangle_prob_loop(alpha, beta, r))
-        for r in (0.0, -1.0, 1.0, 0.42):
-            assert _rectangle_prob(alpha, beta, r) == rectangle_prob_loop(alpha, beta, r)[0]
-
-    @pytest.mark.parametrize("h,k", [(0.0, 0.0), (0.0, 0.8), (-1.1, 0.0), (0.7, -0.2), (-2.0, -1.0)])
-    def test_bvn_cdf_branches_equal_scalar_formula(self, h, k):
-        """The orthant, h = 0, k = 0 and |r| = 1 branches, in an array and
-        one correlation at a time: floats in, floats out."""
-        rs = np.array([-1.0, -0.999, -0.5, 0.0, 0.3, 0.9999, 1.0])
-        expected = [bvn_cdf_scalar(h, k, float(r)) for r in rs]
-        assert bvn_cdf(h, k, rs).tolist() == expected
-        scalars = [bvn_cdf(h, k, float(r)) for r in rs]
-        assert scalars == expected
-        assert all(type(v) is float for v in scalars)
-
-    # below q ~ 1e-306 the Gaussian exponent overflows to -inf on both sides,
-    # and exp gives the right 0
-    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
     @settings(max_examples=150, deadline=None)
-    @given(
-        q=st.floats(0.0, 1e6),
-        qa=st.floats(1e-6, 1e4),
-        qb=st.floats(1e-6, 1e4),
-        c=st.floats(-1.0, 1.0),
-    )
-    def test_property_equal_to_loops(self, q, qa, qb, c):
+    @given(q=st.floats(0.0, 1e6))
+    def test_property_equal_to_loops(self, q):
         for g in _PANEL_INTEGRANDS.values():
-            assert _even_decay_integral(g, q) == even_decay_integral_loop(g, q)
+            assert _even_decay_integral(g, q) == _panel_loop(g, q)
+
+
+class TestRectangleAccuracy:
+    """The four-term rectangle against 40-digit mpmath and against the
+    four-corner loop of the general bivariate CDF (tests/oracles.py)."""
+
+    QS = (1e-3, 0.5, 3.0, 100.0, 1e3)
+
+    @staticmethod
+    def _plackett(qa, qb, r):
+        """P(r) = P(0) + int_0^r P'(t) dt for r >= 0, with P' from Plackett's
+        identity, in u = sqrt(1 - t), which absorbs its 1/sqrt(1 - t) growth
+        as t -> 1."""
+        alpha, beta = 1 / mpmath.sqrt(qa), 1 / mpmath.sqrt(qb)
+        at_zero = mpmath.erf(alpha / mpmath.sqrt(2)) * mpmath.erf(beta / mpmath.sqrt(2))
+        dp = _rectangle_derivative(alpha, beta)
+        return at_zero + mpmath.quad(lambda u: 2 * u * dp(1 - u * u), [mpmath.sqrt(1 - mpmath.mpf(r)), 1])
+
+    def test_vs_mpmath(self):
+        """Within 1e-13 relative, plus two ulps of 1: the form 1 - 2 (sum of
+        T) cannot resolve P below its own rounding, so P ~ 7e-4 at
+        qa = qb = 1e3 is held to ~6e-13 relative (README, "Numerical
+        notes"; ROADMAP G).  P is even
+        in r and symmetric in (alpha, beta), so one oracle value checks four
+        library values; r = 0 is the product of erfs."""
+        with mpmath.workdps(40):
+            for i, qa in enumerate(self.QS):
+                for qb in self.QS[i:]:
+                    for r in (0.0, 0.3, 0.9, 0.999999):
+                        exact = (
+                            mpmath.erf(1 / mpmath.sqrt(2 * qa)) * mpmath.erf(1 / mpmath.sqrt(2 * qb))
+                            if r == 0.0 else self._plackett(qa, qb, r)
+                        )
+                        for a, b in ((qa, qb), (qb, qa)):
+                            for sign in (1.0, -1.0):
+                                got = _rectangle_prob(1 / math.sqrt(a), 1 / math.sqrt(b), sign * r)
+                                assert abs(got - exact) <= 1e-13 * exact + 2.0**-51, (a, b, sign * r)
+
+    def test_oracle_crosses_the_step(self):
+        """At r = 0.999999 the inner probability of the 1-D integral over x
+        steps within s = sqrt(1 - r^2) of x = +-beta/r; with breakpoints there
+        it agrees with the Plackett oracle used above."""
+        qa = qb = 100.0
+        with mpmath.workdps(40):
+            alpha, beta = 1 / mpmath.sqrt(qa), 1 / mpmath.sqrt(qb)
+            r = mpmath.mpf(0.999999)
+            s = mpmath.sqrt((1 - r) * (1 + r))
+            step = beta / r
+            pts = {mpmath.mpf(0)} | {x for b in (step, -step) for x in (b, b - s, b + s)}
+            pts = sorted({-alpha, alpha} | {x for x in pts if -alpha < x < alpha})
+            inner = lambda x: mpmath.ncdf((beta - r * x) / s) - mpmath.ncdf((-beta - r * x) / s)
+            over_x = mpmath.quad(lambda x: mpmath.npdf(x) * inner(x), pts)
+            assert abs(over_x - self._plackett(qa, qb, r)) <= mpmath.mpf(10) ** -30
+        got = _rectangle_prob(float(alpha), float(beta), 0.999999)
+        assert abs(got - over_x) <= 1e-13 * over_x
+
+    @settings(max_examples=150, deadline=None)
+    @given(qa=st.floats(1e-6, 10.0), qb=st.floats(1e-6, 10.0), c=st.floats(-1.0, 1.0))
+    def test_property_close_to_corner_loop(self, qa, qb, c):
         alpha, beta = 1.0 / math.sqrt(qa), 1.0 / math.sqrt(qb)
         r = _price_nodes(c)
-        np.testing.assert_array_equal(_rectangle_prob(alpha, beta, r), rectangle_prob_loop(alpha, beta, r))
-        if not (abs(c) == 1.0 and qa == qb):
-            assert dphi_cross(Activation.HARDTANH, qa, qb, c) == rectangle_prob_loop(alpha, beta, c)[0]
+        loop = rectangle_prob_loop(alpha, beta, r)
+        assert np.max(np.abs(_rectangle_prob(alpha, beta, r) - loop) / loop) <= 1e-14
 
 
 class TestArrayRuleStructure:
     """Each rule is one array evaluation, whatever its panel or node count."""
 
-    @pytest.mark.parametrize("q", [1e-12, 0.5, 3.0, 1e3])
+    @pytest.mark.parametrize("q", [q for q in _PANEL_QS if q > 0.0])
     def test_panel_integrand_evaluated_once(self, q):
+        """One (P, 24) block of at most 8 panels, with no warning: panels stop
+        where the Gaussian is 0.0 (u >= 40 sqrt(q)), so a subnormal q neither
+        overflows the exponent nor builds hundreds of panels."""
         calls = []
 
         def g(u):
             calls.append(u.shape)
             return _sech2(u)
 
-        _even_decay_integral(g, q)
-        assert len(calls) == 1 and calls[0][1] == 24, calls
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _even_decay_integral(g, q)
+        assert len(calls) == 1 and calls[0][0] <= 8 and calls[0][1] == 24, calls
 
     @pytest.mark.parametrize("nodes", [48, 96])
     def test_owens_t_calls_independent_of_node_count(self, monkeypatch, nodes):
-        """Two Owen's T calls per corner, on all correlation nodes at once."""
+        """Four Owen's T calls per rectangle, on all correlation nodes at once."""
         calls = []
         owens_t = scipy.special.owens_t
 
@@ -328,7 +397,10 @@ class TestArrayRuleStructure:
         monkeypatch.setattr(moments, "_GL_CORR_NODES", x)
         monkeypatch.setattr(moments, "_GL_CORR_WEIGHTS", w)
         phi_cross(Activation.HARDTANH, 0.7, 2.0, 0.4)
-        assert 0 < len(calls) <= 8 and set(calls) == {(nodes,)}, calls
+        assert len(calls) == 4 and set(calls) == {(nodes,)}, calls
+        calls.clear()
+        dphi_cross(Activation.HARDTANH, 0.7, 2.0, 0.4)
+        assert calls == [()] * 4, calls
 
 
 def _rectangle_derivative(alpha, beta):
