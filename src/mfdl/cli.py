@@ -46,17 +46,7 @@ from .meanfield import (
     q_trajectory,
 )
 from .phase import critical_line, default_grid, depth_scale_grid
-from .simulator import (
-    ROLE_MASK_A,
-    ROLE_MASK_B,
-    NetworkConfig,
-    backward,
-    ensemble_run_many,
-    forward,
-    gradient_metrics,
-    sample_inputs,
-    sample_network,
-)
+from .simulator import EnsembleStats, NetworkConfig, ensemble_run_many
 from .universality import universality_report
 
 EXIT_OK = 0
@@ -161,6 +151,13 @@ def _progress(msg: str):
     print(msg, file=sys.stderr, flush=True)
 
 
+def _stderr_cells(st: EnsembleStats):
+    """Per-layer stderr cells: blank where one instance leaves it undefined."""
+    if st.n_instances > 1:
+        return st.per_layer_stderr
+    return [None] * len(st.per_layer_mean)
+
+
 # Shared config blocks: ensemble recipes draw seeded instances on `threads`
 # workers, file recipes write CSVs under `out`.
 _ENSEMBLE = {"seed": 0, "threads": 1}
@@ -227,7 +224,7 @@ def cmd_lengthmap(cfg: dict) -> dict:
             q0s=[q0] * len(rhos), threads=_get(cfg, "threads", int),
         )
         for rho, st in zip(rhos, stats):
-            sims[rho] = (st[metric].per_layer_mean, st[metric].per_layer_stderr)
+            sims[rho] = (st[metric].per_layer_mean, _stderr_cells(st[metric]))
 
     out_dir = Path(cfg["out"])
     files = []
@@ -282,28 +279,18 @@ def cmd_gradsim(cfg: dict) -> dict:
     p = _params(cfg)
     depth, width = _get(cfg, "depth", int), _get(cfg, "width", int)
     n_inst = _get(cfg, "instances", int)
-    if n_inst < 1:
-        raise ConfigError(f"instances must be >= 1, got {n_inst}")
     net_cfg = NetworkConfig(depth, width, p, act, seed=_get(cfg, "seed", int))
     d = depth_scales(p, act)  # before the ensemble: a divergent length map ends the run here
     q0 = _get(cfg, "q0") if cfg["q0"] is not None else d.q_star
     c0 = _get(cfg, "c0")
 
     _progress(f"gradsim: {act.value} L={depth} N={width} x {n_inst} instances")
-    if n_inst >= 2:
-        stats = ensemble_run_many(
-            [net_cfg], n_inst, c0=c0, metrics=_GRAD_METRICS,
-            q0s=[q0], threads=_get(cfg, "threads", int),
-        )[0]
-        means = {m: stats[m].per_layer_mean for m in _GRAD_METRICS}
-        errs = {m: stats[m].per_layer_stderr for m in _GRAD_METRICS}
-    else:
-        # in the ensemble's order, so these are the metrics of its instance 0
-        net = sample_network(net_cfg)
-        x_a, x_b = sample_inputs(width, q0, c0, net_cfg.seed)
-        t_a, t_b = forward(net, x_a, ROLE_MASK_A), forward(net, x_b, ROLE_MASK_B)
-        means = gradient_metrics(backward(net, t_a), backward(net, t_b))
-        errs = {m: [None] * depth for m in _GRAD_METRICS}  # stderr undefined at n=1
+    stats = ensemble_run_many(
+        [net_cfg], n_inst, c0=c0, metrics=_GRAD_METRICS,
+        q0s=[q0], threads=_get(cfg, "threads", int),
+    )[0]
+    means = {m: stats[m].per_layer_mean for m in _GRAD_METRICS}
+    errs = {m: _stderr_cells(stats[m]) for m in _GRAD_METRICS}
 
     q_ab_star = d.c_star * d.q_star
     is_linear = act is Activation.LINEAR

@@ -19,7 +19,8 @@ Two slope quantities control exponential growth/decay along depth:
 
 and each maps to a depth scale xi = |1 / ln chi|, infinite at chi = 1.
 
-Moments come from `moments`, on a fixed 64-node rule where one is needed.
+Moments come from `moments`: closed forms, except GL24 panels for univariate
+Tanh, GH64 for bivariate Tanh and a 48-node Price rule for HardTanh phi_cross.
 
 q* and c* come from one algorithm, `_walk_to_fixed_point`: structure plus
 a bracketed root finder (Brent's method, `brent_root`).  An end of the
@@ -138,10 +139,12 @@ def c_step(s: LengthState, p: MeanFieldParams, a: Activation) -> LengthState:
     q_aa = q_step(s.q_aa, p, a)
     q_bb = q_step(s.q_bb, p, a)
     q_ab = p.sigma_w_sq * phi_cross(a, s.q_aa, s.q_bb, s.c_ab) + p.sigma_b_sq
-    if not (math.isfinite(q_aa) and math.isfinite(q_bb) and math.isfinite(q_ab)):
+    if not (math.isfinite(q_aa) and math.isfinite(q_bb)):
         raise EvaluationError(
             f"squared lengths overflow at layer {s.layer + 1}: q_aa={q_aa!r}, q_bb={q_bb!r}"
         )
+    if not math.isfinite(q_ab):
+        raise EvaluationError(f"cross moment not finite at layer {s.layer + 1}: q_ab={q_ab!r}")
     denom = math.sqrt(q_aa) * math.sqrt(q_bb)  # q_aa * q_bb overflows at q ~ 1e154
     if denom <= 0.0:
         raise DegenerateStateError(

@@ -257,25 +257,33 @@ def _relu_dcross_kernel(c: float) -> float:
 # ---------------------------------------------------------------------------
 
 _HALF_PI = math.pi / 2.0
+_TWO_OVER_PI = 2.0 / math.pi
 
 
 def _erf_sq(q: float) -> float:
-    return (2.0 / math.pi) * math.asin(_HALF_PI * q / (1.0 + _HALF_PI * q))
+    return _TWO_OVER_PI * math.asin(_HALF_PI * q / (1.0 + _HALF_PI * q))
 
 
 def _erf_dsq(q: float) -> float:
     return 1.0 / math.sqrt(1.0 + math.pi * q)
 
 
-def _erf_cross(qa: float, qb: float, c: float) -> float:
-    arg = _HALF_PI * math.sqrt(qa * qb) * c
-    arg /= math.sqrt((1.0 + _HALF_PI * qa) * (1.0 + _HALF_PI * qb))
-    return (2.0 / math.pi) * math.asin(min(max(arg, -1.0), 1.0))
+def _erf_cross_pair(qa: float, qb: float, c: float) -> tuple[float, float]:
+    """(phi_cross, dphi_cross) of Erf, with no product that can overflow and
+    no difference of like-sized terms.
 
-
-def _erf_dcross(qa: float, qb: float, c: float) -> float:
-    det = (1.0 + _HALF_PI * qa) * (1.0 + _HALF_PI * qb) - _HALF_PI**2 * qa * qb * c * c
-    return 1.0 / math.sqrt(det)
+    With h = pi/2, s = h q / (1 + h q) and t = 1 / (1 + h q), formed as
+    (q, 1/h) / (q + 1/h), the determinant (1 + h qa)(1 + h qb) - h^2 qa qb c^2
+    is D / (t_a t_b) with D = t_a + s_a t_b + s_a s_b (1 - c)(1 + c), a sum of
+    nonnegative terms.  phi_cross = (2/pi) asin(c sqrt(s_a s_b)), and the
+    cosine of that angle is sqrt(D): atan2 keeps the digits that asin loses
+    as its argument nears 1.
+    """
+    da, db = qa + _TWO_OVER_PI, qb + _TWO_OVER_PI
+    sa, ta, sb, tb = qa / da, _TWO_OVER_PI / da, qb / db, _TWO_OVER_PI / db
+    cos = math.sqrt(ta + sa * tb + sa * sb * ((1.0 - c) * (1.0 + c)))
+    cross = _TWO_OVER_PI * math.atan2(c * math.sqrt(sa) * math.sqrt(sb), cos)
+    return cross, math.sqrt(ta) * math.sqrt(tb) / cos
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +355,7 @@ def phi_cross(act: Activation, qa: float, qb: float, c: float) -> float:
     if act is Activation.RELU:
         return math.sqrt(qa) * math.sqrt(qb) * _relu_cross_kernel(c)
     if act is Activation.ERF:
-        return _erf_cross(qa, qb, c)
+        return _erf_cross_pair(qa, qb, c)[0]
     if act is Activation.HARDTANH:
         return _hardtanh_cross(qa, qb, c)
     return _gh_cross(act, qa, qb, c, deriv=False)
@@ -368,7 +376,7 @@ def dphi_cross(act: Activation, qa: float, qb: float, c: float) -> float:
     if act is Activation.RELU:
         return _relu_dcross_kernel(c)
     if act is Activation.ERF:
-        return _erf_dcross(qa, qb, c)
+        return _erf_cross_pair(qa, qb, c)[1]
     if act is Activation.HARDTANH:
         return _hardtanh_dcross(qa, qb, c)
     return _gh_cross(act, qa, qb, c, deriv=True)

@@ -15,9 +15,11 @@ and the SAME stored masks:
 
 One kernel, lazily revealed weights
 -----------------------------------
-Every trace runs through one forward loop (_forward_many) and one backward
-loop (_backward_many) over the jobs (input, masks) of one network instance.
-The loops never hold a weight matrix: each layer's standard-normal W is a
+Every trace runs through one forward pass (_forward) and one backward pass
+(_backward) of one network instance.  The forward pass stores each layer's
+pre-activations and input factors (p^l/rho) y^{l-1}, so phi is evaluated
+once per layer and trace, and the backward pass evaluates only phi'.
+Neither pass holds a weight matrix: each layer's standard-normal W is a
 _LazyGaussian that answers the products asked of it, W v going forward and
 W^T delta going backward.  It keeps W Q = Z and W^T P = Y for orthonormal
 bases Q and P of the vectors asked about so far.  Given those, W is
@@ -38,10 +40,10 @@ materialize a full matrix from the conditional law of everything revealed
 so far and pin it; later products use that matrix, so "materialize every
 layer first" is the dense small-N oracle of the same engine.
 
-The single-trace API (forward, backward) makes one-job calls; an ensemble
-instance runs both inputs of a config in one call, so per layer the
-products come in the order forward a, forward b, backward a, backward b,
-as they do for forward(a), forward(b), backward(a), backward(b).
+An ensemble instance runs its traces one after another, forward a,
+forward b, backward a, backward b, as the single-trace API does with
+forward(a), forward(b), backward(a), backward(b); so every layer is asked
+its products in the same order, and both give the same bits.
 
 Randomness and reproducibility
 ------------------------------
@@ -72,6 +74,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.random import Generator, SFC64, SeedSequence
@@ -243,18 +246,21 @@ class NetworkInstance:
         scale = math.sqrt(self.config.params.sigma_w_sq / self.config.width_N)
         return self.weight_std(layer) * scale
 
-    def bias_std_block(self) -> np.ndarray:
-        """Standard-normal (L, N) bias block; bias(l) = sigma_b * block[l-1]."""
+    @cached_property
+    def bias_std(self) -> np.ndarray:
+        """Standard-normal (L, N) bias block, drawn once; bias(l) = sigma_b * bias_std[l-1]."""
         cfg = self.config
-        return stream(cfg.seed, self.instance, ROLE_BIAS).standard_normal(
+        block = stream(cfg.seed, self.instance, ROLE_BIAS).standard_normal(
             (cfg.depth_L, cfg.width_N)
         )
+        block.flags.writeable = False
+        return block
 
     def bias(self, layer: int) -> np.ndarray:
         if not (1 <= layer <= self.config.depth_L):
             raise ConfigError(f"layer must be in [1, {self.config.depth_L}], got {layer}")
         sb = math.sqrt(self.config.params.sigma_b_sq)
-        return self.bias_std_block()[layer - 1] * sb
+        return self.bias_std[layer - 1] * sb
 
 
 def sample_network(cfg: NetworkConfig, instance: int = 0) -> NetworkInstance:
@@ -295,10 +301,12 @@ def sample_inputs(
 
 @dataclass
 class ForwardTrace:
-    """Per-layer pre-activations and the dropout masks drawn for one input."""
+    """One input's pass: per-layer pre-activations, the layers' input
+    factors (p^l/rho) * y^{l-1} and the dropout masks drawn for it."""
 
     x: np.ndarray
     pre_activations: np.ndarray = field(repr=False)  # (L, N)
+    input_factors: np.ndarray = field(repr=False)  # (L, N): (p^l/rho) * y^{l-1}
     masks: np.ndarray = field(repr=False)  # (L, N) bool
     network: NetworkInstance = field(repr=False, compare=False)  # whose weights it saw
 
@@ -312,7 +320,7 @@ class GradientTrace:
     """
 
     deltas: np.ndarray = field(repr=False)  # (L, N)
-    input_factors: np.ndarray = field(repr=False)  # (L, N): (p^l/rho) * y^{l-1}
+    input_factors: np.ndarray = field(repr=False)  # the forward trace's array, not a copy
     network: NetworkInstance = field(repr=False, compare=False)
 
     def weight_grad(self, layer: int) -> np.ndarray:
@@ -322,71 +330,56 @@ class GradientTrace:
         return np.outer(self.deltas[layer - 1], self.input_factors[layer - 1])
 
 
-def _mask_uniforms(cfg: NetworkConfig, instance: int, mask_role: int) -> np.ndarray:
-    """The (L, N) uniforms of one mask stream; the masks are uniforms < rho."""
-    return stream(cfg.seed, instance, mask_role).random((cfg.depth_L, cfg.width_N))
+def _masks(cfg: NetworkConfig, instance: int, mask_role: int) -> np.ndarray:
+    """The (L, N) dropout masks of one mask stream: its uniforms < rho."""
+    uniforms = stream(cfg.seed, instance, mask_role).random((cfg.depth_L, cfg.width_N))
+    return uniforms < cfg.params.rho
 
 
 def _input_scale(cfg: NetworkConfig) -> float:
     return math.sqrt(cfg.params.sigma_w_sq / cfg.width_N) / cfg.params.rho
 
 
-def _forward_many(net: NetworkInstance, jobs) -> list[ForwardTrace]:
-    """Forward passes of (x, masks) jobs through net.
+def _forward(net: NetworkInstance, x: np.ndarray, masks: np.ndarray) -> ForwardTrace:
+    """One input's forward pass through net, with the given masks.
 
-    Layer by layer, each job's input is multiplied by the layer's weights in
-    job order: z = W_std v + sigma_b * bias_std with v = (mask * y) * s_in,
+    Layer by layer, z = W_std v + sigma_b * bias_std with v = (mask * y) * s_in,
     where s_in folds sqrt(sigma_w^2/N)/rho into the input so the standard
-    weights are never scaled.
+    weights are never scaled; (mask * y) / rho is the layer's input factor.
     """
     cfg = net.config
     L, N = cfg.depth_L, cfg.width_N
-    s_in, sb = _input_scale(cfg), math.sqrt(cfg.params.sigma_b_sq)
-    bias_std = net.bias_std_block()
-    traces = [ForwardTrace(x, np.empty((L, N)), masks, net) for x, masks in jobs]
-    ys = [t.x for t in traces]
-    for l in range(1, L + 1):
-        w_std = net._layer(l)
-        for k, t in enumerate(traces):
-            v = (t.masks[l - 1] * ys[k]) * s_in
-            t.pre_activations[l - 1] = w_std.matvec(v) + sb * bias_std[l - 1]
-            ys[k] = cfg.activation.value_at(t.pre_activations[l - 1])
-    return traces
-
-
-def _backward_many(net: NetworkInstance, traces) -> list[GradientTrace]:
-    """Exact backpropagation of E = sum (z^L)^2 for every trace of net.
-
-    Reuses each trace's stored masks and goes back through the weights its
-    forward pass revealed, layer by layer and in trace order.  phi and phi'
-    of a trace's pre-activations are evaluated once, as one (L-1, N) block.
-    """
-    cfg = net.config
-    L, N = cfg.depth_L, cfg.width_N
-    act = cfg.activation
     s_in, inv_rho = _input_scale(cfg), 1.0 / cfg.params.rho
-    grads = []
-    for t in traces:
-        z = t.pre_activations
-        g = GradientTrace(np.empty((L, N)), np.empty((L, N)), net)
-        # input factors (p^l/rho) * y^{l-1}, computed in place; phi'(z^l)
-        # waits in the row of delta^l until the loop below overwrites it
-        f = g.input_factors
-        f[0] = t.x
-        f[1:] = act.value_at(z[:-1])
-        np.multiply(t.masks, f, out=f)
-        f *= inv_rho
-        g.deltas[:-1] = act.derivative_at(z[:-1])
-        g.deltas[L - 1] = 2.0 * z[L - 1]
-        grads.append(g)
-    for l in range(L - 1, 0, -1):
-        w_std = net._layer(l + 1)
-        for t, g in zip(traces, grads):
-            back = w_std.rmatvec(g.deltas[l])
-            d = g.deltas[l - 1]  # phi'(z^l) until this step
-            d *= t.masks[l] * back
-            d *= s_in
-    return grads
+    sb = math.sqrt(cfg.params.sigma_b_sq)
+    t = ForwardTrace(x, np.empty((L, N)), np.empty((L, N)), masks, net)
+    y = x
+    for l in range(1, L + 1):
+        masked = masks[l - 1] * y
+        t.input_factors[l - 1] = masked * inv_rho
+        t.pre_activations[l - 1] = net._layer(l).matvec(masked * s_in) + sb * net.bias_std[l - 1]
+        y = cfg.activation.value_at(t.pre_activations[l - 1])
+    return t
+
+
+def _backward(net: NetworkInstance, t: ForwardTrace) -> GradientTrace:
+    """Exact backpropagation of E = sum (z^L)^2 for one forward trace of net.
+
+    Reuses the trace's stored masks and input factors and goes back through
+    the weights its forward pass revealed.  phi' of the pre-activations is
+    evaluated once, as one (L-1, N) block.
+    """
+    cfg, z = net.config, t.pre_activations
+    g = GradientTrace(np.empty_like(z), t.input_factors, net)
+    # phi'(z^l) waits in the row of delta^l until the loop below overwrites it
+    g.deltas[:-1] = cfg.activation.derivative_at(z[:-1])
+    g.deltas[-1] = 2.0 * z[-1]
+    s_in = _input_scale(cfg)
+    for l in range(cfg.depth_L - 1, 0, -1):
+        back = net._layer(l + 1).rmatvec(g.deltas[l])
+        d = g.deltas[l - 1]  # phi'(z^l) until this step
+        d *= t.masks[l] * back
+        d *= s_in
+    return g
 
 
 def forward(net: NetworkInstance, x: np.ndarray, mask_role: int) -> ForwardTrace:
@@ -399,8 +392,7 @@ def forward(net: NetworkInstance, x: np.ndarray, mask_role: int) -> ForwardTrace
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (cfg.width_N,):
         raise ConfigError(f"input must have shape ({cfg.width_N},), got {x.shape}")
-    masks = _mask_uniforms(cfg, net.instance, mask_role) < cfg.params.rho
-    return _forward_many(net, [(x, masks)])[0]
+    return _forward(net, x, _masks(cfg, net.instance, mask_role))
 
 
 def backward(net: NetworkInstance, trace: ForwardTrace) -> GradientTrace:
@@ -413,7 +405,7 @@ def backward(net: NetworkInstance, trace: ForwardTrace) -> GradientTrace:
     """
     if trace.network is not net:
         raise ConfigError("trace was produced by a different network instance")
-    return _backward_many(net, [trace])[0]
+    return _backward(net, trace)
 
 
 def gradient_metrics(ga: GradientTrace, gb: GradientTrace) -> dict[str, np.ndarray]:
@@ -466,8 +458,8 @@ def _instance_metrics_many(configs, instance, c0, q0s, metrics):
 
     Each config samples its own network, so its results do not depend on
     the other configs.  Input b runs whenever a metric needs more than the
-    forward pass of input a: its products then come between a's forward
-    and backward ones on every layer, as in the single-trace API.
+    forward pass of input a, and the traces run one after another: forward
+    a, forward b, backward a, backward b, the order of the single-trace API.
     """
     pair = any(m != "q_aa" for m in metrics)
     roles = (ROLE_MASK_A, ROLE_MASK_B) if pair else (ROLE_MASK_A,)
@@ -477,11 +469,7 @@ def _instance_metrics_many(configs, instance, c0, q0s, metrics):
         N = cfg.width_N
         # q_aa alone ignores c0; c0 = 1 keeps width 1 valid for it
         inputs = sample_inputs(N, q0, c0 if pair else 1.0, cfg.seed, instance)
-        jobs = [
-            (x, _mask_uniforms(cfg, instance, role) < cfg.params.rho)
-            for x, role in zip(inputs, roles)
-        ]
-        traces = _forward_many(net, jobs)
+        traces = [_forward(net, x, _masks(cfg, instance, role)) for x, role in zip(inputs, roles)]
         z_a, z_b = traces[0].pre_activations, traces[-1].pre_activations  # without a pair, b is a
         res = {}
         if "q_aa" in metrics:
@@ -495,7 +483,7 @@ def _instance_metrics_many(configs, instance, c0, q0s, metrics):
                 raise DegenerateStateError("zero-length layer; correlation undefined")
             res["c_ab"] = cross / denom
         if any(m.startswith("g_") for m in metrics):
-            g = gradient_metrics(*_backward_many(net, traces))
+            g = gradient_metrics(*[_backward(net, t) for t in traces])
             res.update((m, g[m]) for m in metrics if m in g)
         out.append(res)
     return out
@@ -519,11 +507,12 @@ def ensemble_run_many(
 
     Every config samples its own networks (see module docstring), so the
     results are bit-identical to a separate one-config call per config.
+    One instance leaves the variance and stderr undefined: they are NaN.
     """
     if not configs:
         raise ConfigError("at least one config is required")
-    if n_instances < 2:
-        raise ConfigError(f"n_instances must be >= 2, got {n_instances}")
+    if n_instances < 1:
+        raise ConfigError(f"n_instances must be >= 1, got {n_instances}")
     if abs(c0) > 1.0:
         raise ConfigError(f"|c0| must be <= 1, got {c0!r}")
     names = _validate_metrics(metrics)
@@ -547,7 +536,7 @@ def ensemble_run_many(
         for m in names:
             data = np.stack([per_instance[i][k][m] for i in range(n_instances)])
             mean = data.mean(axis=0)
-            var = data.var(axis=0, ddof=1)
+            var = data.var(axis=0, ddof=1) if n_instances > 1 else np.full_like(mean, np.nan)
             stats[m] = EnsembleStats(
                 per_layer_mean=mean,
                 per_layer_variance=var,

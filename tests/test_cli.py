@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,11 +74,25 @@ class TestLengthmap:
         assert rc == EXIT_OK
         files_b = json.loads(capsys.readouterr().out)["files"]
         for fa, fb in zip(files_a, files_b):
-            a = open(fa, "rb").read()
-            b = open(fb, "rb").read()
+            a = Path(fa).read_bytes()
+            b = Path(fb).read_bytes()
             assert a.replace(str(tmp_path / "a").encode(), b"") == b.replace(
                 str(tmp_path / "b").encode(), b""
             )
+
+    def test_single_instance_has_empty_stderr(self, tmp_path, capsys):
+        """One instance gives the simulated mean and leaves the stderr blank."""
+        cfg = _write_cfg(
+            tmp_path,
+            "c.json",
+            {"rhos": [1.0, 0.7], "quantity": "c", "layers": 4, "width": 32, "instances": 1},
+        )
+        rc = main(["lengthmap", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        for path in json.loads(capsys.readouterr().out)["files"]:
+            _, cols, rows = _read_csv(path)
+            assert all(r[cols.index("sim_mean")] != "" for r in rows)
+            assert all(r[cols.index("sim_stderr")] == "" for r in rows)
 
     def test_correlation_quantity(self, tmp_path, capsys):
         cfg = _write_cfg(
@@ -91,6 +106,19 @@ class TestLengthmap:
         _, _, rows = _read_csv(json.loads(capsys.readouterr().out)["files"][0])
         cs = [float(r[1]) for r in rows]
         assert all(abs(c) <= 1.0 for c in cs)
+
+    @pytest.mark.parametrize("act,rc", [("erf", EXIT_OK), ("hardtanh", EXIT_NUMERICAL)])
+    def test_correlation_at_huge_input_length(self, tmp_path, capsys, act, rc):
+        """q0 = 1e160: Erf's cross moment is finite there, and HardTanh's
+        overflow is reported as the cross moment's, not the lengths'."""
+        cfg = _write_cfg(
+            tmp_path,
+            "c.json",
+            {"activation": act, "quantity": "c", "q0": 1e160, "simulate": False, "layers": 5},
+        )
+        assert main(["lengthmap", "--config", cfg, "--out", str(tmp_path)]) == rc
+        if rc == EXIT_NUMERICAL:
+            assert "q_ab=inf" in capsys.readouterr().err
 
     def test_invalid_activation_is_usage_error(self, tmp_path):
         cfg = _write_cfg(tmp_path, "c.json", {"activation": "selu"})

@@ -218,6 +218,31 @@ class TestBivariate:
             assert abs(phi_cross(act, 1.0, 2.0, 0.0)) < 1e-14
 
 
+class TestErfCrossVsMpmath:
+    """The Erf closed forms against 50-digit mpmath over the whole variance
+    range: qa * qb overflows past q ~ 1e154, and the determinant
+    (1 + h qa)(1 + h qb) - h^2 qa qb c^2, h = pi/2, cancels as |c| -> 1."""
+
+    PAIRS = [(q, q) for q in (1e-3, 1.0, 1e3, 1e12, 1e150, 1e300)] + [(1e-3, 1e300), (2.0, 1e12)]
+
+    @staticmethod
+    def _exact(qa, qb, c):
+        h, qa, qb, c = mpmath.pi / 2, mpmath.mpf(qa), mpmath.mpf(qb), mpmath.mpf(c)
+        na, nb = 1 + h * qa, 1 + h * qb
+        cross = 2 / mpmath.pi * mpmath.asin(h * mpmath.sqrt(qa * qb) * c / mpmath.sqrt(na * nb))
+        return cross, 1 / mpmath.sqrt(na * nb - h * h * qa * qb * c * c)
+
+    @pytest.mark.parametrize("qa,qb", PAIRS)
+    def test_vs_mpmath(self, qa, qb):
+        with mpmath.workdps(50):
+            for c in (0.0, 0.5, -0.5, 0.999999, -0.999999):
+                cross, dcross = self._exact(qa, qb, c)
+                got = phi_cross(Activation.ERF, qa, qb, c)
+                assert abs(got - cross) <= 1e-13 * abs(cross), (c, got, cross)
+                got = dphi_cross(Activation.ERF, qa, qb, c)
+                assert abs(got - dcross) <= 1e-14 * dcross, (c, got, dcross)
+
+
 class TestBvnCdf:
     """Bivariate normal probabilities: the library's rectangle against its
     closed limits and sampling, and the oracle's normal CDF against mpmath."""
@@ -320,7 +345,7 @@ class TestRectangleAccuracy:
         """Within 1e-13 relative, plus two ulps of 1: the form 1 - 2 (sum of
         T) cannot resolve P below its own rounding, so P ~ 7e-4 at
         qa = qb = 1e3 is held to ~6e-13 relative (README, "Numerical
-        notes"; ROADMAP G).  P is even
+        notes"; ROADMAP J).  P is even
         in r and symmetric in (alpha, beta), so one oracle value checks four
         library values; r = 0 is the product of erfs."""
         with mpmath.workdps(40):

@@ -472,6 +472,26 @@ def test_simulator_draws_only_proxied_calls(monkeypatch):
             )
 
 
+def test_pair_instance_evaluates_phi_once_per_layer_and_trace(monkeypatch):
+    """One pair instance runs phi L times per trace, in its forward pass,
+    and draws its bias block once for both traces."""
+    cfg = _cfg(depth=6, width=16)
+    calls, bias_streams = [], []
+    value_at = Activation.value_at
+    monkeypatch.setattr(Activation, "value_at", lambda a, z: calls.append(z) or value_at(a, z))
+    real_stream = simulator.stream
+
+    def counted_stream(seed, instance, role, layer=0):
+        if role == simulator.ROLE_BIAS:
+            bias_streams.append((instance, layer))
+        return real_stream(seed, instance, role, layer)
+
+    monkeypatch.setattr(simulator, "stream", counted_stream)
+    _instance_metrics_many([cfg], 0, 0.5, [1.0], METRIC_NAMES)
+    assert len(calls) == 2 * cfg.depth_L
+    assert bias_streams == [(0, 0)]
+
+
 class TestGradientMetrics:
     def _traces(self, cfg, instance=0, c0=0.5):
         net = sample_network(cfg, instance)
@@ -649,10 +669,21 @@ class TestEnsemble:
         slope = np.polyfit(ls[keep], np.log(gap[keep]), 1)[0]
         assert -slope == pytest.approx(1.0 / d.xi2, rel=0.15)
 
+    def test_one_instance_is_instance_zero(self):
+        """One instance gives instance 0's metrics as the mean, and NaN for
+        the variance and stderr, which it leaves undefined."""
+        cfg = _cfg(depth=4, width=16)
+        st = ensemble_run_many([cfg], 1, c0=0.5, metrics=METRIC_NAMES, q0s=[1.0])[0]
+        want = _instance_metrics_many([cfg], 0, 0.5, [1.0], METRIC_NAMES)[0]
+        for m in METRIC_NAMES:
+            np.testing.assert_array_equal(st[m].per_layer_mean, want[m])
+            assert np.all(np.isnan(st[m].per_layer_variance))
+            assert np.all(np.isnan(st[m].per_layer_stderr))
+
     def test_config_validation(self):
         cfg = _cfg()
         with pytest.raises(ConfigError):
-            ensemble_run_many([cfg], 1, metrics=("q_aa",))
+            ensemble_run_many([cfg], 0, metrics=("q_aa",))
         with pytest.raises(ConfigError):
             ensemble_run_many([cfg], 4, metrics=("bogus",))
         with pytest.raises(ConfigError):
