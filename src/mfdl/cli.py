@@ -279,6 +279,8 @@ def cmd_gradsim(cfg: dict) -> dict:
     p = _params(cfg)
     depth, width = _get(cfg, "depth", int), _get(cfg, "width", int)
     n_inst = _get(cfg, "instances", int)
+    if n_inst < 1:  # before the theory, whose failure would otherwise be reported first
+        raise ConfigError(f"instances must be >= 1, got {n_inst}")
     net_cfg = NetworkConfig(depth, width, p, act, seed=_get(cfg, "seed", int))
     d = depth_scales(p, act)  # before the ensemble: a divergent length map ends the run here
     q0 = _get(cfg, "q0") if cfg["q0"] is not None else d.q_star
@@ -364,8 +366,6 @@ def cmd_universality(cfg: dict) -> dict:
     if not triples:
         raise ConfigError("universality needs a nonempty 'rows' list")
     n_inst = _get(cfg, "instances", int)
-    if n_inst < 2:  # every fit needs a per-layer variance
-        raise ConfigError(f"universality needs instances >= 2, got {n_inst}")
     base = NetworkConfig(
         depth_L=_get(cfg, "depth", int),
         width_N=triples[0][2],

@@ -20,7 +20,7 @@ Two slope quantities control exponential growth/decay along depth:
 and each maps to a depth scale xi = |1 / ln chi|, infinite at chi = 1.
 
 Moments come from `moments`: closed forms, except GL24 panels for univariate
-Tanh, GH64 for bivariate Tanh and a 48-node Price rule for HardTanh phi_cross.
+Tanh and the HardTanh cross moments, and GH64 for bivariate Tanh.
 
 q* and c* come from one algorithm, `_walk_to_fixed_point`: structure plus
 a bracketed root finder (Brent's method, `brent_root`).  An end of the

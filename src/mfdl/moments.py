@@ -18,11 +18,8 @@ Erf at q >> 1).  This module therefore dispatches per activation:
   - Linear, ReLU, Erf: closed forms (orthant/arc-cosine kernels for ReLU,
     arcsine/determinant identities for Erf).
   - HardTanh: closed forms via erf (phi_sq takes a Taylor series above
-    q = 1, where the closed form cancels); the bivariate pair uses the
-    rectangle probability of a correlated Gaussian pair (four Owen's T
-    terms), and the value cross-moment integrates that rectangle over the
-    correlation (Price's theorem, with a Gauss-Legendre rule in
-    sqrt(1 - |c|), in which the integrand stays smooth up to |c| = 1).
+    q = 1, where the closed form cancels); the bivariate pair integrates a
+    closed-form conditional probability over one input on the panel rule.
   - Tanh: univariate moments via a scale-adaptive composite Gauss-Legendre
     rule on the saturation variable (exact at any q; phi_sq integrates
     tanh^2 itself up to q = 1, where 1 - E[sech^2] would cancel); bivariate
@@ -31,12 +28,9 @@ Erf at q >> 1).  This module therefore dispatches per activation:
     README's "Numerical notes" give measured values).  This module is the
     only one that builds a quadrature rule.
 
-Each rule is evaluated as one array expression over all of its nodes: the
-composite rule's panels form one (P, 24) block on which the integrand is
-evaluated once, and the rectangle probability takes all of the Price rule's
-correlations in one call of four Owen's T terms.  Python adds up only the
-per-panel sums, in order, so the composite rule equals bit for bit the
-panel-by-panel loop that tests/oracles.py keeps as a reference.
+The panel rule is one (P, 24) array expression; Python adds up only the
+per-panel sums, in order, so for Tanh it equals bit for bit the loop that
+tests/oracles.py keeps.  erfc comes from the math module: no scipy here.
 
 At |c| = 1 every bivariate moment reduces exactly to its univariate
 counterpart (to 0 for ReLU at c = -1, where relu(u) relu(-u) = 0), so
@@ -92,16 +86,39 @@ def _check_c(c: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Tanh: composite Gauss-Legendre in the saturation variable.
-#
+# Composite Gauss-Legendre panels; Tanh in the saturation variable, where
 # E[g(sqrt(q) z)] = int g(u) N(u; 0, q) du for even g that differs from its
-# limit only on |u| <~ 15 (sech^2, sech^4).  Panel widths follow
-# min(sqrt(q), 1) geometrically so both the Gaussian scale and the
-# saturation scale are resolved at every q.
+# limit only on |u| <~ 15 (sech^2, sech^4), on panels from min(sqrt(q), 1).
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = leggauss(24)
 _TANH_CUTOFF = 20.0
+
+
+def _panel_integral(f, breaks: list[float], h: float, stop: float, end: float) -> float:
+    """int f on 24-node Gauss-Legendre panels from breaks[0].  Between two
+    breaks the widths double from h at both ends and meet halfway; past the
+    last break they double from h until an edge reaches stop, clipped to end."""
+    edges = [breaks[0]]
+    for a, b in zip(breaks, breaks[1:]):
+        d = h * 2.0 ** np.arange(max(0, math.ceil(math.log2((b - a) / (2.0 * h)))))
+        edges += [*(a + d), *(b - d[::-1]), b]
+    d = h
+    while edges[-1] < stop:
+        edges.append(min(breaks[-1] + d, end))
+        d *= 2.0
+    e = np.array(edges)
+    mid, half = 0.5 * (e[1:] + e[:-1]), 0.5 * (e[1:] - e[:-1])
+    # every panel's nodes as one (P, 24) block, the integrand evaluated once
+    vals = f(mid[:, None] + half[:, None] * _GL_NODES)
+    # (P, 1, 24) @ (24,) takes one BLAS dot per panel row, the sum that
+    # np.dot(_GL_WEIGHTS, row) gives; vals @ _GL_WEIGHTS (gemv) sums in
+    # another order and moves the last bits.  Panels add up in order.
+    dots = (vals[:, None, :] @ _GL_WEIGHTS).ravel()
+    total = 0.0
+    for w, dot in zip(half.tolist(), dots.tolist()):
+        total += w * dot
+    return total
 
 
 def _even_decay_integral(g, q: float) -> float:
@@ -111,22 +128,8 @@ def _even_decay_integral(g, q: float) -> float:
     s = 0.5 * min(math.sqrt(q), 1.0)
     # past 40 sqrt(q) the density is exp(<= -800) = 0.0: later panels add 0.0
     stop = min(_TANH_CUTOFF, 40.0 * math.sqrt(q))
-    edges = [0.0]
-    while edges[-1] < stop:
-        edges.append(min(max(s, 2.0 * edges[-1]), _TANH_CUTOFF))
-    e = np.array(edges)
-    mid, half = 0.5 * (e[1:] + e[:-1]), 0.5 * (e[1:] - e[:-1])
-    # every panel's nodes as one (P, 24) block, the integrand evaluated once
-    u = mid[:, None] + half[:, None] * _GL_NODES
-    vals = g(u) * (np.exp(-u * u / (2.0 * q)) / math.sqrt(2.0 * math.pi * q))
-    # (P, 1, 24) @ (24,) takes one BLAS dot per panel row, the sum that
-    # np.dot(_GL_WEIGHTS, row) gives; vals @ _GL_WEIGHTS (gemv) sums in
-    # another order and moves the last bits.  Panels add up in order.
-    dots = (vals[:, None, :] @ _GL_WEIGHTS).ravel()
-    total = 0.0
-    for h, dot in zip(half.tolist(), dots.tolist()):
-        total += h * dot
-    return 2.0 * total
+    pdf = lambda u: np.exp(-u * u / (2.0 * q)) / math.sqrt(2.0 * math.pi * q)
+    return 2.0 * _panel_integral(lambda u: g(u) * pdf(u), [0.0], s, stop, _TANH_CUTOFF)
 
 
 def _sech2(u: np.ndarray) -> np.ndarray:
@@ -151,7 +154,7 @@ def _tanh_dsq(q: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# HardTanh closed forms.
+# HardTanh: closed forms for one input; the cross moments on the panel rule.
 # ---------------------------------------------------------------------------
 
 
@@ -178,58 +181,52 @@ def _hardtanh_dsq(q: float) -> float:
     return math.erf(1.0 / math.sqrt(2.0 * q))
 
 
-def _rectangle_prob(alpha: float, beta: float, r):
-    """P(|X| < alpha, |Y| < beta) for a standard bivariate normal pair with
-    correlation r, for alpha, beta > 0; elementwise in r, a float gives a float.
-
-    Owen's T formula summed over the four corners: T(-h, a) = T(h, a) and
-    T(h, -a) = -T(h, a) pair the corners' T terms, and their normal CDF terms
-    cancel to 1.  At |r| = 1 the pair is (anti)comonotone.
-    """
-    # local: `import scipy.special` costs ~0.25 s and ~25 MB RSS; only HardTanh needs it
-    from scipy.special import owens_t
-
-    r = np.asarray(r, dtype=np.float64)
-    tied = np.abs(r) >= 1.0
-    r_in = np.where(tied, 0.0, r)  # the formula's r; tied entries are replaced below
-    # beta -+ r alpha as (beta - alpha) + alpha (1 -+ r): 1 -+ r is exact where
-    # it cancels, so the arguments keep their digits as |r| -> 1
-    om, op = 1.0 - r_in, 1.0 + r_in
-    s = np.sqrt(om * op)
-    d = beta - alpha
-    t = (
-        owens_t(alpha, (d + alpha * om) / (alpha * s))
-        + owens_t(beta, (beta * om - d) / (beta * s))
-        + owens_t(alpha, (d + alpha * op) / (alpha * s))
-        + owens_t(beta, (beta * op - d) / (beta * s))
-    )
-    p = np.where(tied, math.erf(min(alpha, beta) / _SQRT2), 1.0 - 2.0 * t)
-    return float(p) if r.ndim == 0 else p
+# The cross moments condition on the input of larger q: with alpha =
+# 1/sqrt(qa) <= beta = 1/sqrt(qb) and t = sqrt(1 - c^2), u1 = z1/alpha and
+# u2 = (c z1 + t z2)/beta.  Given y = |z1|, D(y) = P(|c y + t z2| < beta) is
+# closed; dphi_cross = 2 int_0^alpha pdf D dy and, as E[clip(c y + t z2, -beta,
+# beta)] = |c| int_0^y D, by parts phi_cross = 2 (|c|/beta) int_0^inf D G dy, odd
+# in c, with G(y) = E[min(|z1|/alpha, 1); |z1| > y].  Both run on the panel
+# rule, refined at scale t toward the kinks alpha and beta/|c|.
+_Z_END = 10.0  # the standard normal density past here adds < 1e-20 of a moment
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
-_GL_CORR_NODES, _GL_CORR_WEIGHTS = leggauss(48)
+def _npdf(x: np.ndarray) -> np.ndarray:
+    x = np.minimum(np.abs(x), 40.0)  # the density is 0.0 there; x * x stays finite
+    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-def _hardtanh_dcross(qa: float, qb: float, c: float) -> float:
-    if qa == 0.0 or qb == 0.0:
-        return _hardtanh_dsq(max(qa, qb))  # phi'(0) = 1 leaves the other factor
-    return _rectangle_prob(1.0 / math.sqrt(qa), 1.0 / math.sqrt(qb), c)
+def _window(m: np.ndarray, w: float) -> np.ndarray:
+    """P(|m + Z| < w)/w for m >= 0, Z ~ N(0, 1), in terms of like sign: erfcs of |m - w|
+    and m + w at w >= 1 (1 - their mean >= 1/3 at m < w), below int pdf(w s - m) ds on [-1, 1]."""
+    if w < 1.0:
+        return _npdf(w * _GL_NODES - m[..., None]) @ _GL_WEIGHTS
+    ea, eb = _erfc(np.stack((np.abs(m - w), m + w)) / _SQRT2).astype(np.float64)
+    return np.where(m < w, 1.0 - 0.5 * (ea + eb), 0.5 * (ea - eb)) / w
 
 
-def _hardtanh_cross(qa: float, qb: float, c: float) -> float:
-    # Price's theorem: d/dc E[phi(u1) phi(u2)] = sqrt(qa*qb) E[phi'(u1) phi'(u2)],
-    # and the cross moment vanishes at c = 0 because phi is odd.  The
-    # rectangle probability is even in the correlation t and has a
-    # sqrt(1 - |t|) cusp at |t| = 1, so the rule runs in u = sqrt(1 - |t|),
-    # where the integrand is smooth.
-    alpha = 1.0 / math.sqrt(qa)
-    beta = 1.0 / math.sqrt(qb)
-    lo = math.sqrt(1.0 - abs(c))
-    half = 0.5 * (1.0 - lo)
-    u = lo + half * (1.0 + _GL_CORR_NODES)
-    vals = _rectangle_prob(alpha, beta, 1.0 - u * u) * (2.0 * u)
-    integral = math.sqrt(qa * qb) * half * float(np.dot(_GL_CORR_WEIGHTS, vals))
-    return math.copysign(integral, c)
+def _hardtanh_cross(qa: float, qb: float, c: float, deriv: bool) -> float:
+    t = math.sqrt((1.0 - c) * (1.0 + c))
+    if deriv and (min(qa, qb) == 0.0 or t == 0.0):
+        # phi'(0) = 1 leaves the other factor; at |c| = 1, |u1| < 1 implies |u2| < 1
+        return _hardtanh_dsq(max(qa, qb))
+    alpha, beta = 1.0 / math.sqrt(max(qa, qb)), 1.0 / math.sqrt(min(qa, qb))
+    knee, a = beta / abs(c) if c else math.inf, min(alpha, 40.0)  # a * a stays finite
+
+    def f(y):
+        # D/beta; at t = 0, u2 = c sqrt(qb/qa) u1 makes D a step
+        d = (y < knee) / beta if t == 0.0 else _window(y * (abs(c) / t), beta / t) / t
+        if deriv:
+            return _npdf(y) * (beta * d)
+        # G = Q(max(y, alpha)) + pdf(y) (1 - pdf(alpha)/pdf(y))/alpha up to alpha
+        g = 0.5 * _erfc(np.maximum(y, alpha) / _SQRT2).astype(np.float64)
+        return d * (g + _npdf(y) * -np.expm1(-0.5 * np.maximum(a - y, 0.0) * (a + y)) / alpha)
+
+    end = min(alpha, _Z_END) if deriv else _Z_END
+    breaks = sorted({0.0} | {b for b in (alpha, knee) if b <= end})
+    integral = 2.0 * _panel_integral(f, breaks, t if t > 0.0 else 1.0, end, end)
+    return integral if deriv else math.copysign(abs(c) * integral, c)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +354,7 @@ def phi_cross(act: Activation, qa: float, qb: float, c: float) -> float:
     if act is Activation.ERF:
         return _erf_cross_pair(qa, qb, c)[0]
     if act is Activation.HARDTANH:
-        return _hardtanh_cross(qa, qb, c)
+        return _hardtanh_cross(qa, qb, c, deriv=False)
     return _gh_cross(act, qa, qb, c, deriv=False)
 
 
@@ -378,5 +375,5 @@ def dphi_cross(act: Activation, qa: float, qb: float, c: float) -> float:
     if act is Activation.ERF:
         return _erf_cross_pair(qa, qb, c)[1]
     if act is Activation.HARDTANH:
-        return _hardtanh_dcross(qa, qb, c)
+        return _hardtanh_cross(qa, qb, c, deriv=True)
     return _gh_cross(act, qa, qb, c, deriv=True)

@@ -352,12 +352,12 @@ def _forward(net: NetworkInstance, x: np.ndarray, masks: np.ndarray) -> ForwardT
     s_in, inv_rho = _input_scale(cfg), 1.0 / cfg.params.rho
     sb = math.sqrt(cfg.params.sigma_b_sq)
     t = ForwardTrace(x, np.empty((L, N)), np.empty((L, N)), masks, net)
-    y = x
     for l in range(1, L + 1):
+        # the loss is on z^L, so phi(z^L) is no layer's input and is not formed
+        y = x if l == 1 else cfg.activation.value_at(t.pre_activations[l - 2])
         masked = masks[l - 1] * y
         t.input_factors[l - 1] = masked * inv_rho
         t.pre_activations[l - 1] = net._layer(l).matvec(masked * s_in) + sb * net.bias_std[l - 1]
-        y = cfg.activation.value_at(t.pre_activations[l - 1])
     return t
 
 

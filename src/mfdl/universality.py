@@ -109,6 +109,8 @@ def universality_report(
     """
     if not configs:
         raise ConfigError("at least one (activation, rho, width) config is required")
+    if n_instances < 2:  # every fit needs a per-layer variance
+        raise ConfigError(f"universality needs instances >= 2, got {n_instances}")
     specs = []
     for act, rho, width in configs:
         specs.append(

@@ -3,11 +3,9 @@
 No recipe runs these; each recomputes a library result by another route:
 the explicit last-three-layer gradient expressions of a linear dropout
 network (against the closed induction forms), the depth scale of the
-correlation map fitted to its own trajectory (against xi2), the Tanh
+correlation map fitted to its own trajectory (against xi2), and the Tanh
 panel integral computed one panel at a time (the bit reference of the
-moments module's array expression), and the HardTanh rectangle probability
-as the general bivariate normal CDF at its four corners, one correlation at
-a time (against the four-term Owen's T form).
+moments module's array expression).
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import numpy as np
 from mfdl.activations import Activation
 from mfdl.errors import ConfigError, MfdlError
 from mfdl.meanfield import MeanFieldParams, _c_map_at_fixed_point, _solve_c, q_fixed_point
-from mfdl.moments import _GL_NODES, _GL_WEIGHTS, _SQRT2, _TANH_CUTOFF
+from mfdl.moments import _GL_NODES, _GL_WEIGHTS, _TANH_CUTOFF
 
 
 class NonExponentialDecayError(MfdlError):
@@ -124,53 +122,3 @@ def even_decay_integral_loop(g, q: float) -> float:
         pdf = np.exp(-u * u / (2.0 * q)) / math.sqrt(2.0 * math.pi * q)
         total += half * float(np.dot(_GL_WEIGHTS, g(u) * pdf))
     return 2.0 * total
-
-
-def _ndtr(x: float) -> float:
-    """Standard normal CDF of a scalar."""
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def bvn_cdf_scalar(h: float, k: float, r: float) -> float:
-    """P(X <= h, Y <= k) for standard bivariate normal (X, Y) with corr r.
-
-    Owen's T-function formula; |r| = 1 degenerates to the one-dimensional
-    comonotone/antimonotone cases.
-    """
-    if abs(r) >= 1.0:
-        if r >= 1.0:
-            return _ndtr(min(h, k))
-        return max(0.0, _ndtr(h) + _ndtr(k) - 1.0)
-    rr = math.sqrt((1.0 - r) * (1.0 + r))
-    if h == 0.0 and k == 0.0:
-        return 0.25 + math.asin(r) / (2.0 * math.pi)
-    from scipy.special import owens_t
-
-    if h == 0.0:
-        return float(0.5 * _ndtr(k) - owens_t(k, -r / rr))
-    if k == 0.0:
-        return float(0.5 * _ndtr(h) - owens_t(h, -r / rr))
-    # k - r h as (k -+ h) + h (1 -+ r): 1 -+ r is exact where it cancels,
-    # so the arguments keep their digits as |r| -> 1
-    if r >= 0.0:
-        ah = ((k - h) + h * (1.0 - r)) / (h * rr)
-        ak = ((h - k) + k * (1.0 - r)) / (k * rr)
-    else:
-        ah = ((k + h) - h * (1.0 + r)) / (h * rr)
-        ak = ((h + k) - k * (1.0 + r)) / (k * rr)
-    delta = 0.0 if h * k > 0.0 else 0.5
-    return float(0.5 * (_ndtr(h) + _ndtr(k)) - owens_t(h, ah) - owens_t(k, ak) - delta)
-
-
-def rectangle_prob_loop(alpha: float, beta: float, r) -> np.ndarray:
-    """P(|X| < alpha, |Y| < beta) for standard bivariate normal, one r at a time."""
-    r = np.atleast_1d(np.asarray(r, dtype=np.float64))
-    out = np.empty_like(r)
-    for i, ri in enumerate(r):
-        out[i] = (
-            bvn_cdf_scalar(alpha, beta, ri)
-            - bvn_cdf_scalar(alpha, -beta, ri)
-            - bvn_cdf_scalar(-alpha, beta, ri)
-            + bvn_cdf_scalar(-alpha, -beta, ri)
-        )
-    return out

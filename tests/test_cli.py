@@ -107,18 +107,18 @@ class TestLengthmap:
         cs = [float(r[1]) for r in rows]
         assert all(abs(c) <= 1.0 for c in cs)
 
-    @pytest.mark.parametrize("act,rc", [("erf", EXIT_OK), ("hardtanh", EXIT_NUMERICAL)])
+    @pytest.mark.parametrize("act,rc", [("erf", EXIT_OK), ("hardtanh", EXIT_OK)])
     def test_correlation_at_huge_input_length(self, tmp_path, capsys, act, rc):
-        """q0 = 1e160: Erf's cross moment is finite there, and HardTanh's
-        overflow is reported as the cross moment's, not the lengths'."""
+        """q0 = 1e160: both bounded kinds keep a finite cross moment there,
+        so every correlation of the map lies in [-1, 1]."""
         cfg = _write_cfg(
             tmp_path,
             "c.json",
             {"activation": act, "quantity": "c", "q0": 1e160, "simulate": False, "layers": 5},
         )
         assert main(["lengthmap", "--config", cfg, "--out", str(tmp_path)]) == rc
-        if rc == EXIT_NUMERICAL:
-            assert "q_ab=inf" in capsys.readouterr().err
+        _, _, rows = _read_csv(json.loads(capsys.readouterr().out)["files"][0])
+        assert len(rows) == 5 and all(abs(float(r[1])) <= 1.0 for r in rows)
 
     def test_invalid_activation_is_usage_error(self, tmp_path):
         cfg = _write_cfg(tmp_path, "c.json", {"activation": "selu"})
@@ -202,6 +202,18 @@ class TestGradsim:
                    "--out", str(tmp_path)])
         assert rc == EXIT_NUMERICAL
         assert "non-convergence" in capsys.readouterr().err
+        assert not (tmp_path / "gradsim.csv").exists()
+
+    def test_no_instances_is_usage_error_before_the_theory(self, tmp_path, capsys):
+        """instances = 0 with a divergent length map is a usage error (exit
+        1), reported before the theory runs or prints its progress line."""
+        fields = {"activation": "linear", "sigma_w_sq": 1.5, "sigma_b_sq": 0.1, "q0": 1.0,
+                  "depth": 3, "width": 8, "instances": 0}
+        rc = main(["gradsim", "--config", _write_cfg(tmp_path, "c.json", fields),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "instances must be >= 1" in err and "gradsim:" not in err
         assert not (tmp_path / "gradsim.csv").exists()
 
     @pytest.mark.parametrize("instances", ["0", "-3"])

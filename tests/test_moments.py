@@ -6,21 +6,18 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-import scipy.special
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
-from mfdl import moments
 from mfdl.activations import Activation
 from mfdl.errors import ConfigError
+from mfdl.meanfield import LengthState, MeanFieldParams, c_step
 from mfdl.moments import (
     _GH_NODES,
     _GH_WEIGHTS,
     _even_decay_integral,
     _gh_cross,
-    _rectangle_prob,
     _relu_cross_kernel,
     _sech2,
     _sech4,
@@ -29,7 +26,7 @@ from mfdl.moments import (
     phi_cross,
     phi_sq,
 )
-from oracles import _ndtr, even_decay_integral_loop, rectangle_prob_loop
+from oracles import even_decay_integral_loop
 
 _PDF = lambda z: math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
 
@@ -243,43 +240,6 @@ class TestErfCrossVsMpmath:
                 assert abs(got - dcross) <= 1e-14 * dcross, (c, got, dcross)
 
 
-class TestBvnCdf:
-    """Bivariate normal probabilities: the library's rectangle against its
-    closed limits and sampling, and the oracle's normal CDF against mpmath."""
-
-    def test_normal_cdf_vs_mpmath(self):
-        """Phi from math.erfc: relative error <= 1e-12 down to the deep lower
-        tail (x/sqrt(2) is rounded before erfc), absolute <= 1e-15 in the bulk."""
-        with mpmath.workdps(40):
-            for x in np.linspace(-37.0, 8.0, 1801):
-                exact = float(mpmath.ncdf(x))
-                assert abs(_ndtr(x) - exact) <= 1e-12 * exact, x
-                if abs(x) <= 8.0:
-                    assert abs(_ndtr(x) - exact) <= 1e-15, x
-
-    def test_independence(self):
-        for alpha, beta in [(0.7, 0.2), (1.3, 1.3), (2.0, 30.0), (1e-3, 0.8)]:
-            independent = math.erf(alpha / math.sqrt(2)) * math.erf(beta / math.sqrt(2))
-            assert abs(_rectangle_prob(alpha, beta, 0.0) - independent) < 1e-14
-
-    def test_comonotone_limits(self):
-        """|r| = 1 gives P(|X| < min(alpha, beta)), and the formula reaches
-        it from inside."""
-        limit = math.erf(0.3 / math.sqrt(2))
-        for r in (1.0, -1.0, 1.0 - 1e-12, -1.0 + 1e-12):
-            assert _rectangle_prob(0.3, 1.2, r) == pytest.approx(limit, abs=1e-15)
-            assert _rectangle_prob(1.2, 0.3, r) == pytest.approx(limit, abs=1e-15)
-
-    def test_against_monte_carlo(self):
-        rng = np.random.default_rng(5)
-        n = 4_000_000
-        z1, z2 = rng.standard_normal((2, n))
-        for alpha, beta, r in [(0.5, 0.3, 0.8), (1.0, 1.0, -0.5), (1.2, 0.7, 0.95)]:
-            y = r * z1 + math.sqrt(1 - r * r) * z2
-            mc = np.mean((np.abs(z1) < alpha) & (np.abs(y) < beta))
-            assert abs(_rectangle_prob(alpha, beta, r) - mc) < 6e-4
-
-
 def _tanh2(u):
     return np.tanh(u) ** 2
 
@@ -293,13 +253,6 @@ def _panel_loop(g, q):
     # gives the right 0
     with np.errstate(over="ignore"):
         return even_decay_integral_loop(g, q)
-
-
-def _price_nodes(c):
-    """The correlations at which _hardtanh_cross evaluates the rectangle."""
-    lo = math.sqrt(1.0 - abs(c))
-    u = lo + 0.5 * (1.0 - lo) * (1.0 + moments._GL_CORR_NODES)
-    return 1.0 - u * u
 
 
 class TestArrayRulesBitForBit:
@@ -325,69 +278,6 @@ class TestArrayRulesBitForBit:
             assert _even_decay_integral(g, q) == _panel_loop(g, q)
 
 
-class TestRectangleAccuracy:
-    """The four-term rectangle against 40-digit mpmath and against the
-    four-corner loop of the general bivariate CDF (tests/oracles.py)."""
-
-    QS = (1e-3, 0.5, 3.0, 100.0, 1e3)
-
-    @staticmethod
-    def _plackett(qa, qb, r):
-        """P(r) = P(0) + int_0^r P'(t) dt for r >= 0, with P' from Plackett's
-        identity, in u = sqrt(1 - t), which absorbs its 1/sqrt(1 - t) growth
-        as t -> 1."""
-        alpha, beta = 1 / mpmath.sqrt(qa), 1 / mpmath.sqrt(qb)
-        at_zero = mpmath.erf(alpha / mpmath.sqrt(2)) * mpmath.erf(beta / mpmath.sqrt(2))
-        dp = _rectangle_derivative(alpha, beta)
-        return at_zero + mpmath.quad(lambda u: 2 * u * dp(1 - u * u), [mpmath.sqrt(1 - mpmath.mpf(r)), 1])
-
-    def test_vs_mpmath(self):
-        """Within 1e-13 relative, plus two ulps of 1: the form 1 - 2 (sum of
-        T) cannot resolve P below its own rounding, so P ~ 7e-4 at
-        qa = qb = 1e3 is held to ~6e-13 relative (README, "Numerical
-        notes"; ROADMAP J).  P is even
-        in r and symmetric in (alpha, beta), so one oracle value checks four
-        library values; r = 0 is the product of erfs."""
-        with mpmath.workdps(40):
-            for i, qa in enumerate(self.QS):
-                for qb in self.QS[i:]:
-                    for r in (0.0, 0.3, 0.9, 0.999999):
-                        exact = (
-                            mpmath.erf(1 / mpmath.sqrt(2 * qa)) * mpmath.erf(1 / mpmath.sqrt(2 * qb))
-                            if r == 0.0 else self._plackett(qa, qb, r)
-                        )
-                        for a, b in ((qa, qb), (qb, qa)):
-                            for sign in (1.0, -1.0):
-                                got = _rectangle_prob(1 / math.sqrt(a), 1 / math.sqrt(b), sign * r)
-                                assert abs(got - exact) <= 1e-13 * exact + 2.0**-51, (a, b, sign * r)
-
-    def test_oracle_crosses_the_step(self):
-        """At r = 0.999999 the inner probability of the 1-D integral over x
-        steps within s = sqrt(1 - r^2) of x = +-beta/r; with breakpoints there
-        it agrees with the Plackett oracle used above."""
-        qa = qb = 100.0
-        with mpmath.workdps(40):
-            alpha, beta = 1 / mpmath.sqrt(qa), 1 / mpmath.sqrt(qb)
-            r = mpmath.mpf(0.999999)
-            s = mpmath.sqrt((1 - r) * (1 + r))
-            step = beta / r
-            pts = {mpmath.mpf(0)} | {x for b in (step, -step) for x in (b, b - s, b + s)}
-            pts = sorted({-alpha, alpha} | {x for x in pts if -alpha < x < alpha})
-            inner = lambda x: mpmath.ncdf((beta - r * x) / s) - mpmath.ncdf((-beta - r * x) / s)
-            over_x = mpmath.quad(lambda x: mpmath.npdf(x) * inner(x), pts)
-            assert abs(over_x - self._plackett(qa, qb, r)) <= mpmath.mpf(10) ** -30
-        got = _rectangle_prob(float(alpha), float(beta), 0.999999)
-        assert abs(got - over_x) <= 1e-13 * over_x
-
-    @settings(max_examples=150, deadline=None)
-    @given(qa=st.floats(1e-6, 10.0), qb=st.floats(1e-6, 10.0), c=st.floats(-1.0, 1.0))
-    def test_property_close_to_corner_loop(self, qa, qb, c):
-        alpha, beta = 1.0 / math.sqrt(qa), 1.0 / math.sqrt(qb)
-        r = _price_nodes(c)
-        loop = rectangle_prob_loop(alpha, beta, r)
-        assert np.max(np.abs(_rectangle_prob(alpha, beta, r) - loop) / loop) <= 1e-14
-
-
 class TestArrayRuleStructure:
     """Each rule is one array evaluation, whatever its panel or node count."""
 
@@ -406,26 +296,6 @@ class TestArrayRuleStructure:
             warnings.simplefilter("error")
             _even_decay_integral(g, q)
         assert len(calls) == 1 and calls[0][0] <= 8 and calls[0][1] == 24, calls
-
-    @pytest.mark.parametrize("nodes", [48, 96])
-    def test_owens_t_calls_independent_of_node_count(self, monkeypatch, nodes):
-        """Four Owen's T calls per rectangle, on all correlation nodes at once."""
-        calls = []
-        owens_t = scipy.special.owens_t
-
-        def counting(h, a):
-            calls.append(np.shape(a))
-            return owens_t(h, a)
-
-        monkeypatch.setattr(scipy.special, "owens_t", counting)
-        x, w = leggauss(nodes)
-        monkeypatch.setattr(moments, "_GL_CORR_NODES", x)
-        monkeypatch.setattr(moments, "_GL_CORR_WEIGHTS", w)
-        phi_cross(Activation.HARDTANH, 0.7, 2.0, 0.4)
-        assert len(calls) == 4 and set(calls) == {(nodes,)}, calls
-        calls.clear()
-        dphi_cross(Activation.HARDTANH, 0.7, 2.0, 0.4)
-        assert calls == [()] * 4, calls
 
 
 def _rectangle_derivative(alpha, beta):
@@ -477,3 +347,133 @@ class TestHardTanhCrossVsMpmath:
             exact = mpmath.sqrt(mpmath.mpf(qa) * qb) * price
         got = phi_cross(Activation.HARDTANH, qa, qb, c)
         assert abs(got - exact) <= 1e-13 * abs(exact)
+
+
+def _hardtanh_cross_oracle(qa, qb, c):
+    """(phi_cross, dphi_cross) of HardTanh at 30 digits, by Plackett and Price.
+
+    The rectangle P(r) = P(|X| < alpha, |Y| < beta) at correlation r is
+    P(0) + int_0^|r| P'(s) ds, and phi_cross = sign(c) sqrt(qa qb) int_0^|c| P,
+    folded to |c| P(0) + int_0^|c| (|c| - s) P'(s) ds.  P' is Plackett's
+    density difference written as phi2(alpha, -beta, s) expm1(...), which
+    does not cancel at large q, and everything is divided by alpha beta,
+    since mpmath.quad's tolerance is absolute.  Both integrals run in
+    u = sqrt(1 - s), which absorbs P's growth as s -> 1.
+    """
+    with mpmath.workdps(30):
+        alpha, beta = 1 / mpmath.sqrt(qa), 1 / mpmath.sqrt(qb)
+        r = abs(mpmath.mpf(c))
+
+        def dp(s):  # P'(s) / (alpha beta)
+            om = 1 - s * s
+            low = mpmath.exp(-(alpha**2 + 2 * s * alpha * beta + beta**2) / (2 * om))
+            low /= 2 * mpmath.pi * mpmath.sqrt(om)
+            return 2 * low * mpmath.expm1(2 * s * alpha * beta / om) / (alpha * beta)
+
+        at_zero = mpmath.erf(alpha / mpmath.sqrt(2)) * mpmath.erf(beta / mpmath.sqrt(2)) / (alpha * beta)
+        ends = [mpmath.sqrt(1 - r), 1]
+        rect = at_zero + mpmath.quad(lambda u: 2 * u * dp(1 - u * u), ends)
+        price = r * at_zero + mpmath.quad(lambda u: 2 * u * (r - 1 + u * u) * dp(1 - u * u), ends)
+        return float(mpmath.sign(c) * price), float(rect * alpha * beta)
+
+
+class TestHardTanhCrossAccuracy:
+    """Both HardTanh cross moments within 1e-13 relative of the 30-digit
+    Plackett/Price oracle, with no absolute allowance, from q = 1e-3 to
+    1e300, equal and unequal.  The moments are symmetric in (qa, qb), odd
+    (phi_cross) or even (dphi_cross) in c, so one oracle value checks four
+    library values.  At c = 0 the rectangle is erf(alpha/sqrt2) erf(beta/sqrt2)."""
+
+    PAIRS = [(q, q) for q in (1e-3, 1.0, 1e3, 1e12, 1e150, 1e300)] + [
+        (1e-3, 1.0), (1.0, 1e3), (1e12, 1e150), (1e150, 1e300), (1e-3, 1e300), (1.0, 1e300),
+    ]
+
+    @pytest.mark.parametrize("qa,qb", PAIRS)
+    def test_vs_mpmath(self, qa, qb):
+        act = Activation.HARDTANH
+        for c in (0.0, 0.3, 0.9, 0.999999):
+            cross, dcross = _hardtanh_cross_oracle(qa, qb, c)
+            for a, b in ((qa, qb), (qb, qa)):
+                for sign in (1.0, -1.0):
+                    got = phi_cross(act, a, b, sign * c)
+                    assert abs(got - sign * cross) <= 1e-13 * abs(cross), (a, b, sign * c, got, cross)
+                    got = dphi_cross(act, a, b, sign * c)
+                    assert abs(got - dcross) <= 1e-13 * dcross, (a, b, sign * c, got, dcross)
+
+
+_LENGTHS = st.one_of(st.floats(0.0, 1e300), st.floats(0.0, 10.0))
+
+
+def _rounding(x):
+    """1e-14 of x; below the normal range (2.2e-308) values keep only
+    subnormal precision, so of that range's bottom there."""
+    return 1e-14 * max(abs(x), np.finfo(np.float64).tiny)
+
+
+class TestHardTanhCrossProperties:
+    """Bounds and symmetries of the HardTanh cross moments over the whole
+    range of lengths and correlations.  Where a bound is reached with
+    equality, _rounding allows for the panel sums and the closed forms of
+    the univariate moments rounding differently."""
+
+    act = Activation.HARDTANH
+
+    @settings(max_examples=100, deadline=None)
+    @given(qa=_LENGTHS, qb=_LENGTHS, c=st.floats(-1.0, 1.0))
+    @example(qa=2.2250738585e-313, qb=2.2250738585e-313, c=0.5)  # alpha * alpha overflows
+    def test_cauchy_schwarz(self, qa, qb, c):
+        a = self.act
+        bound = math.sqrt(phi_sq(a, qa)) * math.sqrt(phi_sq(a, qb))
+        assert abs(phi_cross(a, qa, qb, c)) <= bound + _rounding(bound)
+        bound = math.sqrt(dphi_sq(a, qa)) * math.sqrt(dphi_sq(a, qb))
+        assert dphi_cross(a, qa, qb, c) <= bound + _rounding(bound)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        qa=_LENGTHS, qb=_LENGTHS, c=st.floats(-1.0, 1.0),
+        sw2=st.floats(0.1, 5.0), sb2=st.floats(0.0, 1.0), rho=st.floats(0.1, 1.0),
+    )
+    def test_correlation_map_stays_in_range(self, qa, qb, c, sw2, sb2, rho):
+        assume(sb2 > 0.0 or (qa > 0.0 and qb > 0.0))  # else a next length is 0
+        nxt = c_step(LengthState(qa, qb, c), MeanFieldParams(sw2, sb2, rho), self.act)
+        assert abs(nxt.c_ab) <= 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(qa=_LENGTHS, qb=_LENGTHS, c=st.floats(-1.0, 1.0))
+    def test_symmetric_in_lengths_and_parity_in_correlation(self, qa, qb, c):
+        a = self.act
+        value, deriv = phi_cross(a, qa, qb, c), dphi_cross(a, qa, qb, c)
+        assert phi_cross(a, qb, qa, c) == value == -phi_cross(a, qa, qb, -c)
+        assert dphi_cross(a, qb, qa, c) == deriv == dphi_cross(a, qa, qb, -c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(qa=_LENGTHS, qb=_LENGTHS, delta=st.floats(1e-16, 1e-6), sign=st.sampled_from([1.0, -1.0]))
+    def test_continuous_at_full_correlation(self, qa, qb, delta, sign):
+        """d phi_cross/dc = sqrt(qa qb) P(c) <= sqrt(qa qb) P(1), and
+        P(1) - P(1 - delta) <= acos(1 - delta)/pi, since Plackett's P' is at
+        most 1/(pi sqrt(1 - s^2)); P(1) = dphi_sq at the larger length."""
+        a = self.act
+        c = sign * (1.0 - delta)
+        delta = 1.0 - abs(c)  # exact: 1 - delta may have rounded
+        full = phi_cross(a, qa, qb, sign)
+        gap = sign * (full - phi_cross(a, qa, qb, c))
+        slope = math.sqrt(qa) * math.sqrt(qb) * dphi_sq(a, max(qa, qb))
+        assert -_rounding(full) <= gap <= delta * slope * (1 + 1e-12) + _rounding(full)
+        rect = dphi_sq(a, max(qa, qb))
+        assert dphi_cross(a, qa, qb, sign) == rect
+        gap = rect - dphi_cross(a, qa, qb, c)
+        assert -_rounding(rect) <= gap <= math.acos(1.0 - delta) / math.pi + _rounding(rect)
+
+    @settings(max_examples=100, deadline=None)
+    @given(qa=st.floats(0.0, 1e-2), qb=_LENGTHS, c=st.floats(-1.0, 1.0))
+    def test_continuous_at_zero_length(self, qa, qb, c):
+        """As qa -> 0 the first factor is u1 itself except on |u1| > 1, so
+        phi_cross -> E[u1 phi(u2)] = c sqrt(qa qb) dphi_sq(qb) (Stein) and
+        dphi_cross -> dphi_sq(qb); the gaps are at most E[|u1|; |u1| > 1]
+        and P(|u1| > 1)."""
+        a = self.act
+        stein = c * math.sqrt(qa) * math.sqrt(qb) * dphi_sq(a, qb)
+        tail = 2.0 * math.sqrt(qa) * _PDF(1.0 / math.sqrt(qa)) if qa > 0.0 else 0.0
+        assert abs(phi_cross(a, qa, qb, c) - stein) <= tail + _rounding(stein)
+        gap = dphi_sq(a, qb) - dphi_cross(a, qa, qb, c)
+        assert -_rounding(dphi_sq(a, qb)) <= gap <= (1.0 - dphi_sq(a, qa)) + 1e-14

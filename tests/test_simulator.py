@@ -473,8 +473,9 @@ def test_simulator_draws_only_proxied_calls(monkeypatch):
 
 
 def test_pair_instance_evaluates_phi_once_per_layer_and_trace(monkeypatch):
-    """One pair instance runs phi L times per trace, in its forward pass,
-    and draws its bias block once for both traces."""
+    """One pair instance runs phi L - 1 times per trace, in its forward pass
+    (phi(z^L) is no layer's input), and draws its bias block once for both
+    traces."""
     cfg = _cfg(depth=6, width=16)
     calls, bias_streams = [], []
     value_at = Activation.value_at
@@ -488,7 +489,7 @@ def test_pair_instance_evaluates_phi_once_per_layer_and_trace(monkeypatch):
 
     monkeypatch.setattr(simulator, "stream", counted_stream)
     _instance_metrics_many([cfg], 0, 0.5, [1.0], METRIC_NAMES)
-    assert len(calls) == 2 * cfg.depth_L
+    assert len(calls) == 2 * (cfg.depth_L - 1)
     assert bias_streams == [(0, 0)]
 
 

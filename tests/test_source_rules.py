@@ -1,8 +1,8 @@
 """Source rules: library modules log instead of printing, the CLI uses only
 the public names of the other mfdl modules, only the moments module builds
 quadrature rules, theory functions take no rule or solver-tolerance knob, no
-module imports a heavy scipy submodule, and scipy loads only where a
-computation needs it."""
+module imports a heavy scipy submodule, only the activations module imports
+scipy at all, and scipy loads only where a computation needs it."""
 
 import ast
 import json
@@ -132,11 +132,21 @@ def _top_packages(node):
     return set() if node.level else {node.module.split(".")[0]}
 
 
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "activations.py"], ids=lambda p: p.name
+)
+def test_only_activations_imports_scipy(path):
+    """The theory computes every moment from numpy and math; scipy serves
+    only Erf's values on arrays in a simulation."""
+    found = sorted(name for name in _imported_modules(_tree(path)) if name.split(".")[0] == "scipy")
+    assert not found, f"{path.name} imports {found}"
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_level_scipy_import(path):
     """`import scipy.special` alone costs ~0.25 s, half the start-up of a CLI
-    call; only an Erf simulation and the HardTanh bivariate CDF need it, and
-    they import it where they use it."""
+    call; only an Erf simulation needs it, and it is imported where it is
+    used."""
     found = [
         node.lineno
         for node in _import_time_imports(_tree(path))
@@ -158,8 +168,9 @@ def _fresh_interpreter(code: str, tmp_path):
 
 
 def test_cli_recipes_leave_scipy_special_unloaded(tmp_path):
-    """A Tanh phase grid, a Linear gradsim and a small universality sweep
-    over the four default kinds run in a process that never loads it."""
+    """A Tanh phase grid, a Linear gradsim, a small universality sweep over
+    the four default kinds, a HardTanh fixed point and a HardTanh correlation
+    length map run in a process that never loads it."""
     result = _fresh_interpreter(
         """
         import contextlib, io, json
@@ -172,6 +183,8 @@ def test_cli_recipes_leave_scipy_special_unloaded(tmp_path):
             "universality": {"rows": [{"activation": a, "rho": 0.7, "width": 16}
                                       for a in ("linear", "relu", "tanh", "hardtanh")],
                              "depth": 6, "instances": 2},
+            "fixed-point": {"activation": "hardtanh", "rho": 0.8, "sigma_w_sq": 2.5},
+            "lengthmap": {"activation": "hardtanh", "quantity": "c", "simulate": False, "layers": 5},
         }
         for name, fields in runs.items():
             with open(name + ".json", "w") as fh:
@@ -184,34 +197,27 @@ def test_cli_recipes_leave_scipy_special_unloaded(tmp_path):
         """,
         tmp_path,
     )
-    assert result == {"import": False, "phase": False, "gradsim": False, "universality": False}
+    assert result == {"import": False, "phase": False, "gradsim": False, "universality": False,
+                      "fixed-point": False, "lengthmap": False}
 
 
 # values at the commit before scipy.special became a deferred import
 _ERF_Z = [-3.0, -0.5, 0.0, 0.25, 1.0, 7.5]
 _ERF_VALUES = [-0.9998300475248234, -0.46911594893005937, 0.0,
                0.24596892647166024, 0.7899085945560627, 1.0]
-_HARDTANH_CROSS = [((1.3, 1.3, 0.5), 0.2560519537794863), ((0.4, 2.5, -0.8), -0.3480366166981036),
-                   ((4.0, 4.0, 0.999), 0.7390152623258813), ((25.0, 0.3, 0.2), 0.0810870141187854)]
 
 
 @pytest.mark.parametrize(
-    "call, expected, tol",
-    [
-        (f"Activation.ERF.value_at(np.array({_ERF_Z!r})).tolist()", _ERF_VALUES, 0.0),
-        # Phi now comes from math.erfc, which may move the last bit
-        (f"[phi_cross(Activation.HARDTANH, *a) for a, _ in {_HARDTANH_CROSS!r}]",
-         [v for _, v in _HARDTANH_CROSS], 1e-15),
-    ],
-    ids=["erf", "hardtanh"],
+    "call, expected",
+    [(f"Activation.ERF.value_at(np.array({_ERF_Z!r})).tolist()", _ERF_VALUES)],
+    ids=["erf"],
 )
-def test_scipy_special_loads_on_first_use(tmp_path, call, expected, tol):
+def test_scipy_special_loads_on_first_use(tmp_path, call, expected):
     before, values, after = _fresh_interpreter(
         f"""
         import json
         import numpy as np
         from mfdl.activations import Activation
-        from mfdl.moments import phi_cross
 
         before = "scipy.special" in sys.modules
         values = {call}
@@ -220,4 +226,4 @@ def test_scipy_special_loads_on_first_use(tmp_path, call, expected, tol):
         tmp_path,
     )
     assert not before and after
-    assert values == pytest.approx(expected, rel=0, abs=tol)
+    assert values == expected

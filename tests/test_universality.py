@@ -105,3 +105,16 @@ class TestReport:
         base = NetworkConfig(10, 16, MeanFieldParams(0.5, 0.1, 1.0), Activation.TANH)
         with pytest.raises(ConfigError):
             universality_report([], base, 2)
+
+    def test_single_instance_rejected_before_simulating(self, monkeypatch):
+        """Every fit needs a per-layer variance, so one instance is refused
+        before any network is simulated, not after every row has failed."""
+        import mfdl.universality as universality
+
+        def no_ensemble(*args, **kwargs):
+            raise AssertionError("the ensemble ran before the instance count was checked")
+
+        monkeypatch.setattr(universality, "ensemble_run_many", no_ensemble)
+        base = NetworkConfig(12, 8, MeanFieldParams(0.5, 0.1, 1.0), Activation.TANH)
+        with pytest.raises(ConfigError, match="instances >= 2"):
+            universality_report([(Activation.TANH, 1.0, 8)], base, 1)
