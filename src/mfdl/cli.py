@@ -357,26 +357,19 @@ _UNIVERSALITY_DEFAULTS = {
 }
 
 
-def _row_triples(rows) -> list:
-    return [(Activation.parse(r["activation"]), float(r["rho"]), int(r["width"])) for r in rows]
-
-
 def cmd_universality(cfg: dict) -> dict:
-    triples = _get(cfg, "rows", _row_triples)
-    if not triples:
+    specs = _get(cfg, "rows", lambda rows: [
+        (Activation.parse(r["activation"]), float(r["rho"]), int(r["width"])) for r in rows
+    ])
+    p, depth, seed = _params(cfg), _get(cfg, "depth", int), _get(cfg, "seed", int)
+    # built outside _get, so that an out-of-range rho or width keeps its own message
+    configs = [NetworkConfig(depth, w, replace(p, rho=rho), act, seed) for act, rho, w in specs]
+    if not configs:
         raise ConfigError("universality needs a nonempty 'rows' list")
     n_inst = _get(cfg, "instances", int)
-    base = NetworkConfig(
-        depth_L=_get(cfg, "depth", int),
-        width_N=triples[0][2],
-        params=_params(cfg),
-        activation=triples[0][0],
-        seed=_get(cfg, "seed", int),
-    )
-    _progress(f"universality: {len(triples)} configs x {cfg['instances']} instances")
+    _progress(f"universality: {len(configs)} configs x {cfg['instances']} instances")
     rows = universality_report(
-        triples, base, n_inst, c0=_get(cfg, "c0"),
-        threads=_get(cfg, "threads", int),
+        configs, n_inst, c0=_get(cfg, "c0"), threads=_get(cfg, "threads", int)
     )
 
     out_dir = Path(cfg["out"])

@@ -81,7 +81,7 @@ from numpy.random import Generator, SFC64, SeedSequence
 
 from .activations import Activation
 from .errors import ConfigError, DegenerateStateError
-from .meanfield import MeanFieldParams, q_fixed_point
+from .meanfield import MeanFieldParams
 
 ROLE_WEIGHTS = 1
 ROLE_BIAS = 2
@@ -489,21 +489,20 @@ def _instance_metrics_many(configs, instance, c0, q0s, metrics):
     return out
 
 
-def default_q0(cfg: NetworkConfig) -> float:
-    """Input norm at the length fixed point, so layer statistics start there."""
-    q_star, _ = q_fixed_point(cfg.params, cfg.activation)
-    return q_star
-
-
 def ensemble_run_many(
     configs: list[NetworkConfig],
     n_instances: int,
     c0: float = 0.9,
     metrics=("q_aa",),
-    q0s: list[float] | None = None,
+    *,
+    q0s: list[float],
     threads: int = 1,
 ) -> list[dict[str, EnsembleStats]]:
     """Ensemble statistics for several configs, one dict per config.
+
+    q0s[k] is the input length (1/N)|x|^2 of configs[k]; a caller that
+    starts at the length fixed point passes q* from meanfield.q_fixed_point.
+    The engine solves no theory: the theory is its N -> infinity oracle.
 
     Every config samples its own networks (see module docstring), so the
     results are bit-identical to a separate one-config call per config.
@@ -516,9 +515,7 @@ def ensemble_run_many(
     if abs(c0) > 1.0:
         raise ConfigError(f"|c0| must be <= 1, got {c0!r}")
     names = _validate_metrics(metrics)
-    if q0s is None:
-        q0s = [default_q0(cfg) for cfg in configs]
-    elif len(q0s) != len(configs):
+    if len(q0s) != len(configs):
         raise ConfigError("q0s must match configs in length")
 
     def worker(i):

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .activations import Activation
 from .errors import ConfigError, MfdlError
+from .meanfield import q_fixed_point
 from .simulator import NetworkConfig, ensemble_run_many
 
 logger = logging.getLogger(__name__)
@@ -94,72 +95,61 @@ def _fit_metric(stats, depth: int) -> tuple[PowerLawFit, int, np.ndarray, np.nda
 
 
 def universality_report(
-    configs: list[tuple[Activation, float, int]],
-    base_cfg: NetworkConfig,
+    configs: list[NetworkConfig],
     n_instances: int,
     c0: float = 0.9,
     threads: int = 1,
 ) -> list[UniversalityRow]:
     """Power-law fits of all three gradient metrics for each config.
 
-    configs are (activation, rho, width) triples layered over base_cfg and
-    simulated through one ensemble call; each samples its own networks, so
-    its rows do not depend on the others.  A failing config contributes
-    error rows without aborting the others.
+    Each config's ensemble starts at its length fixed point q*.  The
+    configs are simulated through one ensemble call; each samples its own
+    networks, so its rows do not depend on the others.  A failing config
+    (its q* diverges, say) contributes error rows without aborting the
+    others.
     """
     if not configs:
-        raise ConfigError("at least one (activation, rho, width) config is required")
+        raise ConfigError("at least one config is required")
     if n_instances < 2:  # every fit needs a per-layer variance
         raise ConfigError(f"universality needs instances >= 2, got {n_instances}")
-    specs = []
-    for act, rho, width in configs:
-        specs.append(
-            replace(
-                base_cfg,
-                width_N=int(width),
-                params=replace(base_cfg.params, rho=float(rho)),
-                activation=act,
-            )
+
+    def run(cfgs):
+        q0s = [q_fixed_point(cfg.params, cfg.activation)[0] for cfg in cfgs]
+        return ensemble_run_many(
+            cfgs, n_instances, c0=c0, metrics=GRADIENT_METRICS, q0s=q0s, threads=threads
         )
 
     rows: list[UniversalityRow] = []
     try:
-        results = ensemble_run_many(
-            specs, n_instances, c0=c0, metrics=GRADIENT_METRICS, threads=threads
-        )
+        results = run(configs)
     except MfdlError:
         # retry one-by-one so a single divergent config cannot sink the others
         results = []
-        for cfg in specs:
+        for cfg in configs:
             try:
-                results.append(
-                    ensemble_run_many(
-                        [cfg], n_instances, c0=c0, metrics=GRADIENT_METRICS, threads=threads
-                    )[0]
-                )
+                results.append(run([cfg])[0])
             except MfdlError as exc:
                 results.append(f"{type(exc).__name__}: {exc}")
 
-    for (act, rho, width), stats in zip(configs, results):
+    for cfg, stats in zip(configs, results):
+        act, rho, width = cfg.activation, cfg.params.rho, cfg.width_N
         if isinstance(stats, str):
             for metric in GRADIENT_METRICS:
-                rows.append(
-                    UniversalityRow(act, float(rho), int(width), metric, None, 0, error=stats)
-                )
+                rows.append(UniversalityRow(act, rho, width, metric, None, 0, error=stats))
             continue
         for metric in GRADIENT_METRICS:
             try:
-                fit, n_exc, layers, m, v = _fit_metric(stats[metric], base_cfg.depth_L)
+                fit, n_exc, layers, m, v = _fit_metric(stats[metric], cfg.depth_L)
                 rows.append(
                     UniversalityRow(
-                        act, float(rho), int(width), metric, fit, n_exc,
+                        act, rho, width, metric, fit, n_exc,
                         layer_means=m, layer_variances=v, layers=layers,
                     )
                 )
             except MfdlError as exc:
                 rows.append(
                     UniversalityRow(
-                        act, float(rho), int(width), metric, None, 0,
+                        act, rho, width, metric, None, 0,
                         error=f"{type(exc).__name__}: {exc}",
                     )
                 )

@@ -24,6 +24,7 @@ from mfdl.meanfield import (
     MeanFieldParams,
     c_fixed_point,
     depth_scales,
+    q_fixed_point,
     q_trajectory,
 )
 from mfdl.phase import critical_line
@@ -92,7 +93,8 @@ def _linear_gradient_gate(width, n_instances, depth, seconds_budget):
     p = MeanFieldParams(0.5, 0.1, 1.0)
     t0 = time.perf_counter()
     cfg = NetworkConfig(depth, width, p, Activation.LINEAR, seed=23)
-    st = ensemble_run_many([cfg], n_instances, c0=0.9, metrics=("g_aa",))[0]["g_aa"]
+    q_star, _ = q_fixed_point(p, Activation.LINEAR)
+    st = ensemble_run_many([cfg], n_instances, c0=0.9, metrics=("g_aa",), q0s=[q_star])[0]["g_aa"]
     elapsed = time.perf_counter() - t0
     d = depth_scales(p, Activation.LINEAR)
     closed = np.array([g_aa_closed(l, depth, p, d.q_star) for l in range(1, depth + 1)])
@@ -136,7 +138,8 @@ def test_criterion_4_single_slope_governs_both_metrics():
         NetworkConfig(depth, width, MeanFieldParams(sw2, sb2, rho), act, seed=20240800)
         for act, sw2, sb2 in cases
     ]
-    stats = ensemble_run_many(cfgs, n_inst, c0=0.9, metrics=("g_aa", "g_tilde_ab"))
+    q0s = [q_fixed_point(cfg.params, cfg.activation)[0] for cfg in cfgs]
+    stats = ensemble_run_many(cfgs, n_inst, c0=0.9, metrics=("g_aa", "g_tilde_ab"), q0s=q0s)
     lo, hi = int(round(0.2 * depth)), int(round(0.8 * depth))
     layers = np.arange(lo, hi + 1, dtype=float)
     worst = 0.0
@@ -158,18 +161,17 @@ def test_criterion_5_universal_variance_mean_exponent():
     lo_band, hi_band = 1.7, 2.3
     exps = []
 
-    sweep = [(Activation.parse(a), r, 500)
+    sweep = [NetworkConfig(200, 500, MeanFieldParams(0.3, 0.1, r), Activation.parse(a), seed=31)
              for a in ("linear", "relu", "tanh", "hardtanh")
              for r in (1.0, 0.7, 0.4)]
-    base = NetworkConfig(200, 500, MeanFieldParams(0.3, 0.1, 1.0), Activation.LINEAR, seed=31)
-    for row in universality_report(sweep, base, 16, c0=0.9):
+    for row in universality_report(sweep, 16, c0=0.9):
         assert row.error is None, row
         assert lo_band <= row.fit.exponent <= hi_band, row
         exps.append(row.fit.exponent)
 
     for width in (200, 500, 1000):
-        base_w = NetworkConfig(200, width, MeanFieldParams(1.4, 0.1, 0.9), Activation.TANH, seed=52)
-        for row in universality_report([(Activation.TANH, 0.9, width)], base_w, 16, c0=0.9):
+        cfg = NetworkConfig(200, width, MeanFieldParams(1.4, 0.1, 0.9), Activation.TANH, seed=52)
+        for row in universality_report([cfg], 16, c0=0.9):
             assert row.error is None, row
             assert lo_band <= row.fit.exponent <= hi_band, (width, row)
             exps.append(row.fit.exponent)

@@ -226,20 +226,34 @@ class TestGradsim:
 
 
 class TestUniversalityCmd:
-    def test_small_run(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "rows, depth, n_fits",
+        [
+            ([{"activation": "tanh", "rho": 1.0, "width": 24}], 12, 3),
+            # the fit window of depth 3 holds two layers: no metric of any row is fitted
+            ([{"activation": "tanh", "rho": 1.0, "width": 8},
+              {"activation": "relu", "rho": 0.7, "width": 8}], 3, 0),
+        ],
+        ids=["fitted", "fitless"],
+    )
+    def test_small_run(self, tmp_path, capsys, caplog, rows, depth, n_fits):
         cfg = _write_cfg(
             tmp_path,
             "c.json",
-            {"rows": [{"activation": "tanh", "rho": 1.0, "width": 24}],
-             "depth": 12, "instances": 2, "sigma_w_sq": 0.5, "sigma_b_sq": 0.1},
+            {"rows": rows, "depth": depth, "instances": 2, "sigma_w_sq": 0.5, "sigma_b_sq": 0.1},
         )
         rc = main(["universality", "--config", cfg, "--out", str(tmp_path)])
         assert rc == EXIT_OK
         summary = json.loads(capsys.readouterr().out)
-        _, cols, rows = _read_csv(summary["files"][0])
+        n_failed = 3 * len(rows) - n_fits
+        assert summary["rows_failed"] == n_failed
+        _, cols, fits = _read_csv(summary["files"][0])
         assert cols == ["activation", "rho", "width", "metric", "exponent",
                         "intercept", "r_squared", "n_points", "n_excluded"]
-        assert len(rows) == 3
+        assert len(fits) == n_fits
+        warned = [r.getMessage() for r in caplog.records if r.name == "mfdl.universality"]
+        assert len(warned) == n_failed
+        assert all(m.endswith("need at least 3 points for a fit, got 2") for m in warned)
 
     def test_empty_rows_is_usage_error(self, tmp_path):
         cfg = _write_cfg(tmp_path, "c.json", {"rows": []})
@@ -259,23 +273,37 @@ class TestUniversalityCmd:
 
 
 class TestPhaseCmd:
-    def test_curve_file(self, tmp_path, capsys):
-        cfg = _write_cfg(
-            tmp_path,
-            "c.json",
-            {"activation": "tanh", "rho": 1.0, "grid_points": 6,
-             "grid_min": 1.0, "grid_max": 3.0},
-        )
+    @pytest.mark.parametrize(
+        "fields, n_failed",
+        [
+            ({"activation": "tanh", "rho": 1.0, "grid_points": 6,
+              "grid_min": 1.0, "grid_max": 3.0}, 0),
+            # a Linear length map has no fixed point once sigma_w^2 >= rho
+            ({"activation": "linear", "rho": 1.0, "sigma_b_sq": 0.05, "grid_points": 4,
+              "grid_min": 0.5, "grid_max": 2.0, "grid_log": False}, 3),
+        ],
+        ids=["tanh", "linear-divergent"],
+    )
+    def test_curve_file(self, tmp_path, capsys, fields, n_failed):
+        cfg = _write_cfg(tmp_path, "c.json", fields)
         rc = main(["phase", "--config", cfg, "--out", str(tmp_path)])
         assert rc == EXIT_OK
-        _, cols, rows = _read_csv(json.loads(capsys.readouterr().out)["files"][0])
+        captured = capsys.readouterr()
+        _, cols, rows = _read_csv(json.loads(captured.out)["files"][0])
         assert cols == ["sigma_w_sq", "q_star", "c_star", "chi1", "chi2", "xi1",
                         "xi2", "b12xi1", "b6xi2", "b12xi2", "trainable_bound", "converged"]
-        assert len(rows) == 6
+        assert len(rows) == fields["grid_points"]
         for r in rows:
             assert r[-1] in ("true", "false")
             if r[-1] == "true":
                 assert float(r[10]) == min(float(r[7]), float(r[9]))
+            else:
+                assert r[1:-1] == ["nan"] * 10
+        assert [r[-1] for r in rows].count("false") == n_failed
+        failures = [ln for ln in captured.err.splitlines()
+                    if ln.startswith("phase: not converged: ")]
+        assert len(failures) == n_failed
+        assert all(": NonConvergenceError: " in ln for ln in failures)
 
 
 class TestScalarCommands:
@@ -295,12 +323,22 @@ class TestScalarCommands:
         assert out["counters"]["q_evals"] > 1
         assert out["counters"]["c_evals"] == 2
 
-    def test_divergent_regime_exit_code(self, tmp_path):
-        cfg = _write_cfg(
-            tmp_path, "c.json",
-            {"activation": "linear", "sigma_w_sq": 1.5, "sigma_b_sq": 0.5, "rho": 1.0},
-        )
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"activation": "linear", "sigma_w_sq": 1.5, "sigma_b_sq": 0.5, "rho": 1.0},
+             "mfdl: numerical non-convergence: "),
+            # q* = 0 is a fixed point, but the correlation of two zero vectors is 0/0
+            ({"activation": "tanh", "sigma_w_sq": 0.0, "sigma_b_sq": 0.0},
+             "mfdl: numerical error: correlation undefined: "
+             "the length map sends q* = 0.0 to 0.0"),
+        ],
+        ids=["divergent", "zero-length"],
+    )
+    def test_numerical_error_exit_code(self, tmp_path, capsys, fields, message):
+        cfg = _write_cfg(tmp_path, "c.json", fields)
         assert main(["fixed-point", "--config", cfg]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith(message)
 
     def test_io_error_exit_code(self, tmp_path):
         blocker = tmp_path / "blocker"

@@ -310,10 +310,11 @@ def _rectangle_derivative(alpha, beta):
 
 
 class TestHardTanhCrossVsMpmath:
-    """Independent oracles for the Owen's T route, at 30 digits: the
-    rectangle probability as a 1-D integral over the first variable, and the
-    value moment as its Price integral in c, with the rectangle from
-    Plackett's identity."""
+    """30-digit oracles for the HardTanh cross moments at moderate q, in
+    mpmath and sharing no code with the rule under test: the rectangle
+    probability as a 1-D integral over the first variable, and the value
+    moment as its Price integral in c, with the rectangle from Plackett's
+    identity."""
 
     POINTS = [(0.5, 0.5, 0.3), (2.0, 0.7, 0.9), (0.05, 3.0, -0.6), (1.0, 1.2, 0.999)]
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import mfdl.simulator as simulator
 from mfdl.activations import Activation
 from mfdl.errors import ConfigError
-from mfdl.meanfield import MeanFieldParams, depth_scales, q_trajectory
+from mfdl.meanfield import MeanFieldParams, depth_scales, q_fixed_point, q_trajectory
 from mfdl.simulator import (
     METRIC_NAMES,
     ROLE_MASK_A,
@@ -31,6 +31,11 @@ from mfdl.simulator import (
 
 def _cfg(depth=4, width=8, sw2=0.81, sb2=0.25, rho=0.7, act=Activation.TANH, seed=7):
     return NetworkConfig(depth, width, MeanFieldParams(sw2, sb2, rho), act, seed=seed)
+
+
+def _q_stars(cfgs):
+    """Length fixed points, the inputs an ensemble starts at by convention."""
+    return [q_fixed_point(cfg.params, cfg.activation)[0] for cfg in cfgs]
 
 
 class TestSampling:
@@ -589,21 +594,21 @@ class TestEnsemble:
         rejected, while single-input metrics stay well defined."""
         cfg = _cfg(depth=3, width=1)
         with pytest.raises(ConfigError):
-            ensemble_run_many([cfg], 2, c0=0.5, metrics=("c_ab",))
+            ensemble_run_many([cfg], 2, c0=0.5, metrics=("c_ab",), q0s=_q_stars([cfg]))
         q = ensemble_run_many([cfg], 2, c0=0.5, metrics=("q_aa",), q0s=[1.0])[0]["q_aa"]
         assert np.all(np.isfinite(q.per_layer_mean))
 
     def test_bit_reproducible(self):
         cfg = _cfg(depth=5, width=32)
-        a = ensemble_run_many([cfg], 4, metrics=("q_aa", "g_aa"))[0]
-        b = ensemble_run_many([cfg], 4, metrics=("q_aa", "g_aa"))[0]
+        a = ensemble_run_many([cfg], 4, metrics=("q_aa", "g_aa"), q0s=_q_stars([cfg]))[0]
+        b = ensemble_run_many([cfg], 4, metrics=("q_aa", "g_aa"), q0s=_q_stars([cfg]))[0]
         np.testing.assert_array_equal(a["q_aa"].per_layer_mean, b["q_aa"].per_layer_mean)
         np.testing.assert_array_equal(a["g_aa"].per_layer_stderr, b["g_aa"].per_layer_stderr)
 
     def test_threads_do_not_change_results(self):
         cfg = _cfg(depth=5, width=32)
-        a = ensemble_run_many([cfg], 6, metrics=("q_aa", "c_ab"), threads=1)[0]
-        b = ensemble_run_many([cfg], 6, metrics=("q_aa", "c_ab"), threads=3)[0]
+        a = ensemble_run_many([cfg], 6, metrics=("q_aa", "c_ab"), q0s=_q_stars([cfg]), threads=1)[0]
+        b = ensemble_run_many([cfg], 6, metrics=("q_aa", "c_ab"), q0s=_q_stars([cfg]), threads=3)[0]
         np.testing.assert_array_equal(a["c_ab"].per_layer_mean, b["c_ab"].per_layer_mean)
 
     def test_shared_run_equals_separate_runs(self):
@@ -625,7 +630,7 @@ class TestEnsemble:
 
     def test_stderr_definition(self):
         cfg = _cfg(depth=3, width=16)
-        st = ensemble_run_many([cfg], 8, metrics=("q_aa",))[0]["q_aa"]
+        st = ensemble_run_many([cfg], 8, metrics=("q_aa",), q0s=_q_stars([cfg]))[0]["q_aa"]
         np.testing.assert_allclose(
             st.per_layer_stderr, np.sqrt(st.per_layer_variance / 8), rtol=1e-14
         )
@@ -641,8 +646,8 @@ class TestEnsemble:
 
     def test_doubling_instances_shrinks_stderr(self):
         cfg = _cfg(depth=3, width=24, seed=5)
-        small = ensemble_run_many([cfg], 100, metrics=("q_aa",))[0]["q_aa"]
-        large = ensemble_run_many([cfg], 200, metrics=("q_aa",))[0]["q_aa"]
+        small = ensemble_run_many([cfg], 100, metrics=("q_aa",), q0s=_q_stars([cfg]))[0]["q_aa"]
+        large = ensemble_run_many([cfg], 200, metrics=("q_aa",), q0s=_q_stars([cfg]))[0]["q_aa"]
         ratio = (large.per_layer_stderr**2 / small.per_layer_stderr**2).mean()
         assert 0.3 < ratio < 0.8  # ~0.5 within sampling noise
 
@@ -684,8 +689,8 @@ class TestEnsemble:
     def test_config_validation(self):
         cfg = _cfg()
         with pytest.raises(ConfigError):
-            ensemble_run_many([cfg], 0, metrics=("q_aa",))
+            ensemble_run_many([cfg], 0, metrics=("q_aa",), q0s=_q_stars([cfg]))
         with pytest.raises(ConfigError):
-            ensemble_run_many([cfg], 4, metrics=("bogus",))
+            ensemble_run_many([cfg], 4, metrics=("bogus",), q0s=_q_stars([cfg]))
         with pytest.raises(ConfigError):
-            ensemble_run_many([], 4)
+            ensemble_run_many([], 4, q0s=[])

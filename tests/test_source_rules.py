@@ -1,8 +1,9 @@
 """Source rules: library modules log instead of printing, the CLI uses only
-the public names of the other mfdl modules, only the moments module builds
-quadrature rules, theory functions take no rule or solver-tolerance knob, no
-module imports a heavy scipy submodule, only the activations module imports
-scipy at all, and scipy loads only where a computation needs it."""
+the public names of the other mfdl modules, the simulator calls no theory,
+only the moments module builds quadrature rules, theory functions take no
+rule or solver-tolerance knob, no module imports a heavy scipy submodule,
+only the activations module imports scipy at all, and scipy loads only where
+a computation needs it."""
 
 import ast
 import json
@@ -58,6 +59,24 @@ def _imported_modules(tree):
             names.add(base)
             names.update(f"{base}.{alias.name}" for alias in node.names)
     return names
+
+
+def test_simulator_calls_no_theory():
+    """The mean-field theory is the simulator's N -> infinity oracle, so the
+    simulator does not compute with it: from meanfield it imports only the
+    parameter type, and from the other theory modules nothing."""
+    theory = ("meanfield", "moments", "phase", "linear_theory", "universality")
+    found = []
+    for node in ast.walk(_tree(SRC / "simulator.py")):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                module = module.removeprefix("mfdl.")
+            found += [f"{module}.{alias.name}".strip(".") for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [alias.name.removeprefix("mfdl.") for alias in node.names]
+    found = [name for name in found if name.split(".")[0] in theory]
+    assert found == ["meanfield.MeanFieldParams"], f"simulator.py imports {found}"
 
 
 def test_only_moments_builds_quadrature_rules():

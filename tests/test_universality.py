@@ -78,8 +78,8 @@ class TestFitWindow:
 
 class TestReport:
     def test_single_config_plumbing(self):
-        base = NetworkConfig(12, 24, MeanFieldParams(0.5, 0.1, 1.0), Activation.TANH, seed=4)
-        rows = universality_report([(Activation.TANH, 1.0, 24)], base, 2)
+        cfg = NetworkConfig(12, 24, MeanFieldParams(0.5, 0.1, 1.0), Activation.TANH, seed=4)
+        rows = universality_report([cfg], 2)
         assert len(rows) == 3  # one per metric
         for row in rows:
             assert row.error is None
@@ -89,9 +89,10 @@ class TestReport:
     def test_failing_row_does_not_abort_others(self, caplog):
         """A config whose length map diverges reports an error, logged as a
         warning; the healthy config in the same batch still gets fitted."""
-        base = NetworkConfig(10, 16, MeanFieldParams(0.5, 0.1, 1.0), Activation.LINEAR, seed=4)
         rows = universality_report(
-            [(Activation.LINEAR, 1.0, 16), (Activation.LINEAR, 0.4, 16)], base, 2
+            [NetworkConfig(10, 16, MeanFieldParams(0.5, 0.1, rho), Activation.LINEAR, seed=4)
+             for rho in (1.0, 0.4)],
+            2,
         )
         good = [r for r in rows if r.rho == 1.0]
         bad = [r for r in rows if r.rho == 0.4]
@@ -115,6 +116,6 @@ class TestReport:
             raise AssertionError("the ensemble ran before the instance count was checked")
 
         monkeypatch.setattr(universality, "ensemble_run_many", no_ensemble)
-        base = NetworkConfig(12, 8, MeanFieldParams(0.5, 0.1, 1.0), Activation.TANH)
+        cfg = NetworkConfig(12, 8, MeanFieldParams(0.5, 0.1, 1.0), Activation.TANH)
         with pytest.raises(ConfigError, match="instances >= 2"):
-            universality_report([(Activation.TANH, 1.0, 8)], base, 1)
+            universality_report([cfg], 1)
